@@ -165,6 +165,13 @@ type Cluster struct {
 	failed       uint64            //horselint:coordinator
 	failovers    map[string]uint64 //horselint:coordinator
 	rehomeFailed uint64            //horselint:coordinator
+
+	// Epoch state kept across calls: inline is Trigger's one-shard
+	// serve barrier (no workers, nothing to close), and scheduled is
+	// serveEpoch's buffer of routed jobs, reused so a wave does not
+	// allocate one.
+	inline    *eventsim.ShardGroup //horselint:coordinator
+	scheduled []*pendingJob        //horselint:coordinator
 }
 
 // New builds a cluster of fresh nodes at the simulation epoch.
@@ -203,6 +210,7 @@ func New(opts Options) (*Cluster, error) {
 		shards:      shards,
 		rec:         opts.Trace,
 		failovers:   make(map[string]uint64),
+		inline:      eventsim.NewShardGroup(1),
 	}
 	for i, spec := range specs {
 		spec = spec.withDefaults()
@@ -622,125 +630,35 @@ type Placement struct {
 
 // Trigger routes one invocation through the placement policy and serves
 // it, failing over across nodes when the picked node dies, drains, or
-// exhausts its local fallback chain. The returned Placement reports
-// where it landed and what it cost end to end.
+// exhausts its local fallback chain. It is a one-job epoch of Run's
+// loop: the arrival is minted and admitted exactly as Run's pump does
+// it, then routed, served, and failed over by the same serveEpoch,
+// inline on the caller's goroutine at the current cluster instant. The
+// returned Placement reports where it landed and what it cost end to
+// end.
 //
 //horselint:coordinator
 func (c *Cluster) Trigger(name string, mode faas.StartMode, payload []byte) (faas.Invocation, Placement, error) {
-	entry, ok := c.deployments[name]
-	if !ok {
+	if _, ok := c.deployments[name]; !ok {
 		return faas.Invocation{}, Placement{NodeIndex: -1}, fmt.Errorf("%w: %q", faas.ErrUnknownFunction, name)
 	}
-	arrival := c.clock.Now()
-	var tc trigtrace.Context
-	if c.rec != nil {
-		tc = c.rec.Start(c.seq, name, mode.String(), arrival, c.sloBudgets[name])
-		c.seq++
+	job := c.mintJob(name, mode, payload, c.clock.Now())
+	err := c.serveEpoch(c.inline, []*pendingJob{job}, nil)
+	p := Placement{NodeIndex: -1, Failovers: job.failovers}
+	if err != nil {
+		return faas.Invocation{}, p, err
 	}
-	tc.SetTenant(entry.tenantName)
-	// The tenant admission gate runs before any routing decision: a
-	// reject consumes no placement and charges the tenant, not the
-	// cluster's capacity.
-	if v := c.router.Admit(entry.tenant, arrival, entry.ull); v != tenant.Admitted {
-		c.rejected++
-		err := admissionError(entry.tenantName, v)
-		tc.Complete(trigtrace.Outcome{Err: err.Error()})
-		return faas.Invocation{}, Placement{NodeIndex: -1}, err
+	// A node is reported only where the trigger ended: served there, or
+	// its body failed there and was deliberately not retried. job.node
+	// is otherwise a stale pick the trigger failed over from.
+	if job.err == nil || errors.Is(job.err, ErrInvokeNotRetried) {
+		p.Node, p.NodeIndex, p.Wait = job.node.id, job.node.index, job.wait
 	}
-	// excluded is allocated lazily on the first failover: the common
-	// trigger serves on the first pick and never needs the map.
-	var excluded map[int]bool
-	failovers := 0
-	exclude := func(idx int) {
-		if excluded == nil {
-			excluded = make(map[int]bool, len(c.nodes))
-		}
-		excluded[idx] = true
+	if job.err != nil {
+		return faas.Invocation{}, p, job.err
 	}
-	var lastErr error
-	for {
-		n, err := c.router.Pick(c, name, entry.ull, excluded, arrival)
-		if err != nil {
-			c.rejected++
-			if lastErr != nil {
-				err = fmt.Errorf("%w (last node error: %v)", err, lastErr)
-			}
-			tc.Complete(trigtrace.Outcome{Err: err.Error()})
-			return faas.Invocation{}, Placement{NodeIndex: -1, Failovers: failovers}, err
-		}
-		// One fault check per routing decision: the node we were about to
-		// use can fail hard or start draining under us.
-		if ferr := c.faults.Check(faultinject.SiteNodeFail); ferr != nil {
-			if err := c.Fail(n.id); err != nil {
-				// Unreachable: the router only picks Up nodes.
-				tc.Complete(trigtrace.Outcome{Err: err.Error()})
-				return faas.Invocation{}, Placement{NodeIndex: -1, Failovers: failovers}, err
-			}
-			c.countFailover(ReasonNodeFailed)
-			tc.Reroute(arrival, n.id, ReasonNodeFailed)
-			exclude(n.index)
-			failovers++
-			continue
-		}
-		if ferr := c.faults.Check(faultinject.SiteNodeDrain); ferr != nil {
-			if err := c.Drain(n.id); err != nil {
-				// A partial re-home degrades capacity but the node is
-				// draining regardless; the failover below still applies.
-				c.rehomeFailed++
-			}
-			c.countFailover(ReasonNodeDraining)
-			tc.Reroute(arrival, n.id, ReasonNodeDraining)
-			exclude(n.index)
-			failovers++
-			continue
-		}
-		local := n.platform.Clock()
-		start := arrival
-		if local.Now().After(start) {
-			start = local.Now()
-		}
-		wait := start.Sub(arrival)
-		local.AdvanceTo(start)
-		// The placement stood; the hop's stages are recorded from mark so
-		// a hop that fails after all can be rolled up into one
-		// failed-attempt span covering exactly the virtual time it cost.
-		mark := tc.Mark()
-		tc.SetNode(n.id)
-		tc.RecordOn(trigtrace.StagePlacement, arrival, 0, n.id, "", c.router.Policy())
-		tc.RecordOn(trigtrace.StageQueueWait, arrival, wait, n.id, "", "")
-		inv, terr := n.platform.TriggerTraced(tc, name, mode, payload)
-		if terr != nil {
-			consumed := local.Now().Sub(arrival)
-			if errors.Is(terr, faas.ErrInvokeFailed) {
-				// The function body ran and died; retrying on another
-				// node would double-execute user code.
-				c.failed++
-				tc.CollapseFailed(mark, arrival, consumed, n.id, mode.String(), string(faultinject.SiteInvoke))
-				tc.Complete(trigtrace.Outcome{Err: terr.Error()})
-				return faas.Invocation{}, Placement{
-					Node: n.id, NodeIndex: n.index, Failovers: failovers, Wait: wait,
-				}, fmt.Errorf("%w: %v", ErrInvokeNotRetried, terr)
-			}
-			c.countFailover(ReasonTriggerFailed)
-			tc.CollapseFailed(mark, arrival, consumed, n.id, mode.String(), ReasonTriggerFailed)
-			tc.Reroute(local.Now(), n.id, ReasonTriggerFailed)
-			exclude(n.index)
-			failovers++
-			lastErr = terr
-			continue
-		}
-		n.served++
-		// Caller-observed latency ends when the function's response is
-		// ready; the re-pool pause after it is node housekeeping and
-		// shows up only as backlog (Lag) for later triggers.
-		latency := wait + inv.Total()
-		n.triggers.Inc()
-		n.load.Set(int64(n.Lag(arrival)))
-		tc.Complete(trigtrace.Outcome{Served: inv.Mode.String(), Node: n.id, Latency: latency})
-		return inv, Placement{
-			Node: n.id, NodeIndex: n.index, Failovers: failovers, Wait: wait, Latency: latency,
-		}, nil
-	}
+	p.Latency = job.latency
+	return job.inv, p, nil
 }
 
 // Settle advances the cluster clock to the latest node-local instant,

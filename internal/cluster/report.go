@@ -138,19 +138,6 @@ type SLOSummary struct {
 	Attainment float64          `json:"attainment"`
 }
 
-// percentile returns the q-quantile of sorted by nearest rank. sorted
-// must be ascending and non-empty.
-func percentile(sorted []simtime.Duration, q float64) simtime.Duration {
-	idx := int(float64(len(sorted))*q+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
 // attainment renders a ratio with a fixed denominator-zero convention
 // (vacuously attained) so reports never contain NaN.
 func attainment(missed, total uint64) float64 {
@@ -445,9 +432,9 @@ func (b *reportBuilder) build() Report {
 		r.Modes = append(r.Modes, ModeLatency{
 			Mode:  mode,
 			Count: uint64(len(samples)),
-			P50:   percentile(samples, 0.50),
-			P95:   percentile(samples, 0.95),
-			P99:   percentile(samples, 0.99),
+			P50:   trigtrace.Quantile(samples, 0.50),
+			P95:   trigtrace.Quantile(samples, 0.95),
+			P99:   trigtrace.Quantile(samples, 0.99),
 			Max:   samples[len(samples)-1],
 		})
 	}
@@ -462,8 +449,8 @@ func (b *reportBuilder) build() Report {
 		}
 		if samples := b.byNode[n.id]; len(samples) > 0 {
 			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-			summary.P50 = percentile(samples, 0.50)
-			summary.P99 = percentile(samples, 0.99)
+			summary.P50 = trigtrace.Quantile(samples, 0.50)
+			summary.P99 = trigtrace.Quantile(samples, 0.99)
 		}
 		r.NodeSummaries = append(r.NodeSummaries, summary)
 	}
@@ -529,9 +516,9 @@ func (b *reportBuilder) build() Report {
 				Tenant: c.tenants.Spec(key.tenant).Name,
 				Mode:   key.mode,
 				Count:  uint64(len(samples)),
-				P50:    percentile(samples, 0.50),
-				P95:    percentile(samples, 0.95),
-				P99:    percentile(samples, 0.99),
+				P50:    trigtrace.Quantile(samples, 0.50),
+				P95:    trigtrace.Quantile(samples, 0.95),
+				P99:    trigtrace.Quantile(samples, 0.99),
 				Max:    samples[len(samples)-1],
 			})
 		}

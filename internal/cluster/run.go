@@ -59,13 +59,12 @@ type RunConfig struct {
 }
 
 // pendingJob is one arrival moving through an epoch of the run loop:
-// minted by the pump, routed by the coordinator, served on a node
+// minted by mintJob, routed by the coordinator, served on a node
 // shard, and finalized by the coordinator in arrival order. Exactly
 // one goroutine owns it at a time — the coordinator hands it to a node
 // engine at a barrier and takes it back at the next — so its fields
 // need no locks.
 type pendingJob struct {
-	seq     uint64
 	fn      string
 	ull     bool
 	mode    faas.StartMode
@@ -189,29 +188,7 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 	// and served epoch by epoch.
 	var epoch []*pendingJob
 	err = gen.Install(c.engine, horizonEnd, func(a loadgen.Arrival) {
-		entry := c.deployments[a.Function]
-		tc := c.rec.Start(c.seq, a.Function, a.Mode.String(), a.At, c.sloBudgets[a.Function])
-		tc.SetTenant(entry.tenantName)
-		job := &pendingJob{
-			seq:     c.seq,
-			fn:      a.Function,
-			ull:     entry.ull,
-			mode:    a.Mode,
-			payload: cfg.Payloads[a.Function],
-			arrival: a.At,
-			tc:      tc,
-		}
-		// The tenant admission gate fires at the pump — on the
-		// coordinator, in arrival order, identically at every shard
-		// count. A rejected job is terminal before routing: it consumes
-		// no placement and is finalized with the rest of its epoch.
-		if v := c.router.Admit(entry.tenant, a.At, entry.ull); v != tenant.Admitted {
-			job.err = admissionError(entry.tenantName, v)
-			job.outErr = job.err.Error()
-			c.rejected++
-		}
-		epoch = append(epoch, job)
-		c.seq++
+		epoch = append(epoch, c.mintJob(a.Function, a.Mode, cfg.Payloads[a.Function], a.At))
 	})
 	if err != nil {
 		return Report{}, err
@@ -253,19 +230,43 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 	return builder.build(), nil
 }
 
+// mintJob turns one arrival into a pending job on the coordinator: it
+// starts the trigger's trace context, tags its tenant, and runs the
+// tenant admission gate. Run's pump and Trigger both mint here, so an
+// arrival is admitted, numbered, and traced the same way on either
+// path. The gate fires in arrival order, identically at every shard
+// count; a rejected job is terminal before routing — it consumes no
+// placement and is finalized with the rest of its epoch.
+//
+//horselint:coordinator
+func (c *Cluster) mintJob(fn string, mode faas.StartMode, payload []byte, at simtime.Time) *pendingJob {
+	entry := c.deployments[fn]
+	tc := c.rec.Start(c.seq, fn, mode.String(), at, c.sloBudgets[fn])
+	tc.SetTenant(entry.tenantName)
+	c.seq++
+	job := &pendingJob{fn: fn, ull: entry.ull, mode: mode, payload: payload, arrival: at, tc: tc}
+	if v := c.router.Admit(entry.tenant, at, entry.ull); v != tenant.Admitted {
+		job.err = admissionError(entry.tenantName, v)
+		job.outErr = job.err.Error()
+		c.rejected++
+	}
+	return job
+}
+
 // serveEpoch routes and serves one epoch's arrivals. Routing runs on
 // the coordinator in arrival order; serving drains the node-local
 // engines in parallel behind a ShardGroup barrier; triggers that fail
 // retryably come back to the coordinator and re-route in the next
-// wave, exactly mirroring Trigger's failover loop. When every job is
-// terminal the epoch is finalized into the report in arrival order.
+// wave. When every job is terminal the epoch is finalized in arrival
+// order: each trace is completed and, unless builder is nil (a direct
+// Trigger, which is a one-job epoch), folded into the report.
 //
 //horselint:coordinator
 func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, builder *reportBuilder) error {
 	shards := group.Shards()
 	pending := jobs
 	for len(pending) > 0 {
-		scheduled := pending[:0:0]
+		scheduled := c.scheduled[:0]
 		for _, job := range pending {
 			// Jobs the admission gate already rejected at the pump are
 			// terminal: they skip routing and go straight to finalize.
@@ -276,6 +277,7 @@ func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, bui
 				scheduled = append(scheduled, job)
 			}
 		}
+		c.scheduled = scheduled
 		if len(scheduled) == 0 {
 			break
 		}
@@ -329,11 +331,15 @@ func (c *Cluster) serveEpoch(group *eventsim.ShardGroup, jobs []*pendingJob, bui
 			// The error path records no served mode and no node: the
 			// trigger was not served, so a zero-value placement must not
 			// leak mode/node labels into the report's distributions.
-			builder.record(job.fn, "", "", 0, job.err)
+			if builder != nil {
+				builder.record(job.fn, "", "", 0, job.err)
+			}
 			continue
 		}
 		job.tc.Complete(trigtrace.Outcome{Served: job.inv.Mode.String(), Node: job.node.id, Latency: job.latency})
-		builder.record(job.fn, job.inv.Mode.String(), job.node.id, job.latency, nil)
+		if builder != nil {
+			builder.record(job.fn, job.inv.Mode.String(), job.node.id, job.latency, nil)
+		}
 	}
 	return nil
 }

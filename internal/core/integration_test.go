@@ -119,30 +119,40 @@ func TestXenFlavorFigure3Shape(t *testing.T) {
 	}
 }
 
-// TestCoalescedLoadNumericalStability runs many consecutive cycles and
-// checks the coalesced path never drifts from the iterated one.
+// TestCoalescedLoadNumericalStability checks the coalesced path never
+// drifts from the iterated one: after each run of pause/resume cycles
+// the ull_runqueue load a consumer (a DVFS governor, say) reads must be
+// the same under HORSE's one coalesced update as under PPSM's n
+// iterated updates — over many cycles, and after a single resume of a
+// wide sandbox.
 func TestCoalescedLoadNumericalStability(t *testing.T) {
-	eH := newEngine(t)
-	eP := newEngine(t)
-	sbH := ullSandbox(t, eH, 16)
-	sbP := ullSandbox(t, eP, 16)
-	for i := 0; i < 50; i++ {
-		if _, err := eH.Pause(sbH, Horse); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct{ vcpus, cycles int }{
+		{vcpus: 16, cycles: 50},
+		{vcpus: 24, cycles: 1},
+	} {
+		eH := newEngine(t)
+		eP := newEngine(t)
+		sbH := ullSandbox(t, eH, tc.vcpus)
+		sbP := ullSandbox(t, eP, tc.vcpus)
+		for i := 0; i < tc.cycles; i++ {
+			if _, err := eH.Pause(sbH, Horse); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eH.Resume(sbH, Horse); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eP.Pause(sbP, PPSM); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eP.Resume(sbP, PPSM); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := eH.Resume(sbH, Horse); err != nil {
-			t.Fatal(err)
+		lh := eH.Hypervisor().ULLQueues()[0].Load().Load()
+		lp := eP.Hypervisor().ULLQueues()[0].Load().Load()
+		if diff := math.Abs(lh - lp); diff > 1e-6*math.Max(1, lp) {
+			t.Fatalf("%d vCPUs, %d cycles: coalesced load %v drifted from iterated %v",
+				tc.vcpus, tc.cycles, lh, lp)
 		}
-		if _, err := eP.Pause(sbP, PPSM); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eP.Resume(sbP, PPSM); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lh := eH.Hypervisor().ULLQueues()[0].Load().Load()
-	lp := eP.Hypervisor().ULLQueues()[0].Load().Load()
-	if diff := math.Abs(lh - lp); diff > 1e-6*math.Max(1, lp) {
-		t.Fatalf("after 50 cycles coalesced load %v drifted from iterated %v", lh, lp)
 	}
 }

@@ -311,8 +311,8 @@ func (r *Recorder) Attribution() []StageLatency {
 			Total: cell.total,
 		}
 		if len(samples) > 0 {
-			row.P50 = quantile(samples, 0.50)
-			row.P99 = quantile(samples, 0.99)
+			row.P50 = Quantile(samples, 0.50)
+			row.P99 = Quantile(samples, 0.99)
 			row.Max = samples[len(samples)-1]
 		}
 		out = append(out, row)
@@ -320,9 +320,13 @@ func (r *Recorder) Attribution() []StageLatency {
 	return out
 }
 
-// quantile returns the q-quantile of sorted by nearest rank (the same
-// convention as the cluster report's percentile).
-func quantile(sorted []simtime.Duration, q float64) simtime.Duration {
+// Quantile returns the q-quantile of sorted, which must be ascending
+// and non-empty. The rank is n·q rounded half up, so the index is
+// int(n·q+0.5)-1, clamped into the slice. This is not the ceil
+// nearest-rank of metrics.Series.Percentile: at n=10, q=0.91 it picks
+// the 9th sample where ceil picks the 10th. The trace attribution
+// table and the cluster report both use it, so their quantiles agree.
+func Quantile(sorted []simtime.Duration, q float64) simtime.Duration {
 	idx := int(float64(len(sorted))*q+0.5) - 1
 	if idx < 0 {
 		idx = 0

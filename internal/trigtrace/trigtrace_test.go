@@ -27,6 +27,28 @@ func TestTraceIDDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
+// TestQuantileRoundsRankHalfUp pins Quantile's rank convention: n·q
+// rounded half up, clamped into the slice — not the ceil nearest-rank
+// of metrics.Series.Percentile, which would pick the 10th sample at
+// n=10, q=0.91.
+func TestQuantileRoundsRankHalfUp(t *testing.T) {
+	sorted := make([]simtime.Duration, 10)
+	for i := range sorted {
+		sorted[i] = simtime.Duration(i + 1)
+	}
+	for _, tc := range []struct {
+		q    float64
+		want simtime.Duration
+	}{{0, 1}, {0.04, 1}, {0.05, 1}, {0.5, 5}, {0.91, 9}, {0.95, 10}, {0.99, 10}, {1, 10}} {
+		if got := Quantile(sorted, tc.q); got != tc.want {
+			t.Errorf("Quantile(1..10, %v) = %v, want %v", tc.q, got, tc.want)
+		}
+	}
+	if got := Quantile(sorted[:1], 0.99); got != 1 {
+		t.Errorf("Quantile of one sample = %v, want 1", got)
+	}
+}
+
 func TestStageClassPartition(t *testing.T) {
 	want := map[Stage]Class{
 		StageQueueWait:     ClassServing,
