@@ -8,10 +8,15 @@
 //     list), arms P²SM's arrayB/posA structures against that queue, and
 //     precomputes the coalesced load-update coefficients (αⁿ, β·Σαⁱ).
 //   - At resume time it enters a pre-armed fast path that splices
-//     merge_vcpus into the ull_runqueue in O(1) with one goroutine per
-//     posA key, applies a single fused load update, and flips the sandbox
-//     to running — ≈150 ns regardless of the vCPU count, versus a vanilla
-//     resume that grows linearly with it.
+//     merge_vcpus into the ull_runqueue in O(1) — a single posA key
+//     inline, two or more with one goroutine per key — applies a single
+//     fused load update, and flips the sandbox to running — ≈150 ns
+//     regardless of the vCPU count, versus a vanilla resume that grows
+//     linearly with it.
+//
+// merge_vcpus links each vCPU's own run-queue node (runqueue.Entity.Node),
+// and the engine recycles the P²SM structures a resume consumed for the
+// next pause, so neither resume path allocates per vCPU.
 //
 // The package also implements the two ablated variants the evaluation
 // compares (Figure 3): ppsm (P²SM only, per-vCPU load updates) and coal
@@ -97,6 +102,9 @@ type Engine struct {
 	// trigger pauses and resumes once per invocation, so the frame
 	// released by the resume is reused by the next pause.
 	statePool *pausedState
+	// prePool likewise holds the P²SM structures the last successful
+	// resume consumed; the next ppsm/horse pause re-arms them.
+	prePool *psm.Precomputed[*runqueue.Entity]
 	// spliceScratch is the reusable element snapshot spliceMergeVCPUs
 	// takes before each merge.
 	spliceScratch []*runqueue.Element
@@ -192,11 +200,18 @@ func (e *Engine) pauseULL(sb *vmm.Sandbox, policy Policy) (vmm.PauseReport, erro
 	}
 	if policy == PPSM || policy == Horse {
 		// merge_vcpus + posA/arrayB: one sorted-merge per vCPU into the
-		// source list, plus the group bookkeeping.
-		st.pre = q.NewPrecomputed()
+		// source list, plus the group bookkeeping. RemoveVCPUs just
+		// unlinked every vCPU's node, so each links straight into
+		// merge_vcpus.
+		st.pre = q.Rearm(e.prePool)
+		e.prePool = nil
 		for _, v := range sb.VCPUs() {
 			ctx.Charge(vmm.StepPauseMaint, costs.PauseStructMaint)
-			st.pre.AddSource(v.Credit, v)
+			if !st.pre.LinkSource(v.Node(), v.Credit, v) {
+				e.discard(st)
+				return vmm.PauseReport{}, fmt.Errorf("core: pause %s: %w: %s",
+					sb.ID(), runqueue.ErrAlreadyQueued, v.ID)
+			}
 		}
 	}
 
@@ -258,9 +273,13 @@ func (e *Engine) Resume(sb *vmm.Sandbox, policy Policy) (vmm.ResumeReport, error
 	return report, nil
 }
 
-// recycle returns a released pausedState frame to the one-slot pool so
-// the next pause reuses it instead of allocating.
+// recycle returns a released pausedState frame, and the P²SM structures
+// its resume consumed, to the one-slot pools so the next pause reuses
+// them instead of allocating.
 func (e *Engine) recycle(st *pausedState) {
+	if st.pre != nil {
+		e.prePool = st.pre
+	}
 	*st = pausedState{}
 	e.statePool = st
 }
@@ -383,11 +402,18 @@ func (e *Engine) Forget(sb *vmm.Sandbox) {
 }
 
 func (e *Engine) dropState(sb *vmm.Sandbox, st *pausedState) {
-	if st.pre != nil {
-		st.queue.Unobserve(st.pre)
-	}
+	e.discard(st)
 	delete(e.states, sb.ID())
 	e.prepared.Set(int64(len(e.states)))
+}
+
+// discard unregisters st's P²SM structures and unlinks the orphaned
+// merge_vcpus, so the sandbox's vCPU nodes can be queued again.
+func (e *Engine) discard(st *pausedState) {
+	if st.pre != nil {
+		st.queue.Unobserve(st.pre)
+		st.pre.Discard()
+	}
 }
 
 // Validate cross-checks every prepared sandbox's auxiliary structures
@@ -410,9 +436,11 @@ func (e *Engine) Validate() error {
 	return nil
 }
 
-// MergeThreadCount returns the number of splice goroutines the next HORSE
-// resume of sb would spawn (the posA key count), or 0 if not prepared.
-// The colocation experiment uses it to model merge-thread preemption.
+// MergeThreadCount returns the posA key count of sb's next HORSE resume,
+// or 0 if not prepared: the number of merge threads of Algorithm 1. The
+// host-side Merge splices a single key inline and spawns one goroutine
+// per key for two or more; the colocation experiment models one merge
+// thread per key either way.
 func (e *Engine) MergeThreadCount(sb *vmm.Sandbox) int {
 	st, ok := e.states[sb.ID()]
 	if !ok || st.pre == nil {

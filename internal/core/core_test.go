@@ -325,6 +325,31 @@ func TestForgetReleasesState(t *testing.T) {
 	}
 }
 
+func TestForgetThenVanillaResume(t *testing.T) {
+	// Forget must unlink the orphaned merge_vcpus: the vCPUs' own
+	// run-queue nodes are then free for a vanilla resume to queue.
+	e := newEngine(t)
+	sb := ullSandbox(t, e, 4)
+	if _, err := e.Pause(sb, Horse); err != nil {
+		t.Fatal(err)
+	}
+	e.Forget(sb)
+	for _, v := range sb.VCPUs() {
+		if v.Node().Linked() {
+			t.Fatalf("%s still linked after Forget", v.ID)
+		}
+	}
+	if _, err := e.Resume(sb, Vanilla); err != nil {
+		t.Fatalf("vanilla resume after Forget: %v", err)
+	}
+	if got := len(sb.Placements()); got != sb.NumVCPUs() {
+		t.Fatalf("placements = %d, want %d", got, sb.NumVCPUs())
+	}
+	if err := e.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMergeThreadCount(t *testing.T) {
 	e := newEngine(t)
 	sb := ullSandbox(t, e, 4)

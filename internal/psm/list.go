@@ -13,21 +13,26 @@
 //     that belongs immediately after that position.
 //
 // With these precomputed, the merge itself is two pointer writes per posA
-// key, and the keys are spliced by concurrent goroutines with no mutual
-// exclusion (each goroutine touches a disjoint set of next pointers).
+// key. A single key is spliced inline; two or more are spliced by
+// concurrent goroutines, one per key, with no mutual exclusion (each
+// goroutine touches a disjoint set of next pointers).
 //
 // This file provides the sorted singly-linked list both A and B are built
 // from. The list uses a head sentinel so "splice before the first element"
 // needs no special casing: position -1 addresses the sentinel.
 package psm
 
-// Element is a node of a sorted List. Elements are allocated by their List
-// and move between lists during a merge; an Element must belong to at most
-// one list at a time.
+// Element is a node of a sorted List. A node is either allocated by its
+// List (Insert, Precomputed.AddSource) or owned by the caller and linked
+// with Link, the way a kernel scheduling entity carries its own run-queue
+// node; caller-owned nodes make relinking allocation-free. Elements move
+// between lists during a merge, and an Element belongs to at most one
+// list at a time: Link refuses a node that is already linked.
 type Element[V any] struct {
-	key   int64
-	value V
-	next  *Element[V]
+	key    int64
+	value  V
+	next   *Element[V]
+	linked bool
 }
 
 // Key returns the element's sort key. In HORSE the key is the scheduler's
@@ -39,6 +44,11 @@ func (e *Element[V]) Value() V { return e.value }
 
 // Next returns the following element, or nil at the end of the list.
 func (e *Element[V]) Next() *Element[V] { return e.next }
+
+// Linked reports whether the element is on a list. Link sets it and
+// Remove, RemoveIf, PopFront and Clear reset it; a P²SM splice moves
+// elements from one list to another and leaves it set.
+func (e *Element[V]) Linked() bool { return e.linked }
 
 // List is a singly-linked list kept sorted by ascending key. Elements with
 // equal keys preserve insertion order (FIFO among equals), which is the
@@ -70,19 +80,34 @@ func (l *List[V]) head() *Element[V] { return &l.sentinel }
 // sequential sorted merge the vanilla resume path performs once per vCPU,
 // and precisely the cost P²SM's merge phase avoids.
 func (l *List[V]) Insert(key int64, value V) *Element[V] {
-	e := &Element[V]{key: key, value: value}
-	l.insertElement(e)
+	e := &Element[V]{}
+	l.Link(e, key, value)
 	return e
 }
 
-// insertElement links an existing element (e.g. one migrating from another
-// list) at its sorted position.
+// Link sets a caller-owned node's key and value and links it at its
+// sorted position, at the same O(n) cost as Insert but without
+// allocating. It reports false, changing nothing, if e is already on a
+// list: linking it again would corrupt both lists.
+func (l *List[V]) Link(e *Element[V], key int64, value V) bool {
+	if e.linked {
+		return false
+	}
+	e.key = key
+	e.value = value
+	l.insertElement(e)
+	return true
+}
+
+// insertElement links an unlinked element (e.g. one migrating from
+// another list) at its sorted position.
 func (l *List[V]) insertElement(e *Element[V]) {
 	prev := &l.sentinel
 	for prev.next != nil && prev.next.key <= e.key {
 		prev = prev.next
 	}
 	e.next = prev.next
+	e.linked = true
 	prev.next = e
 	l.length++
 }
@@ -115,10 +140,13 @@ func (l *List[V]) At(i int) *Element[V] {
 // O(n): the singly-linked representation requires a predecessor scan, as
 // in the run-queue structures HORSE patches.
 func (l *List[V]) Remove(e *Element[V]) bool {
+	if !e.linked {
+		return false
+	}
 	for prev := &l.sentinel; prev.next != nil; prev = prev.next {
 		if prev.next == e {
 			prev.next = e.next
-			e.next = nil
+			e.unlink()
 			l.length--
 			return true
 		}
@@ -135,7 +163,7 @@ func (l *List[V]) RemoveIf(pred func(*Element[V]) bool) int {
 		if pred(prev.next) {
 			e := prev.next
 			prev.next = e.next
-			e.next = nil
+			e.unlink()
 			l.length--
 			removed++
 			continue
@@ -152,7 +180,7 @@ func (l *List[V]) PopFront() *Element[V] {
 		return nil
 	}
 	l.sentinel.next = e.next
-	e.next = nil
+	e.unlink()
 	l.length--
 	return e
 }
@@ -191,11 +219,22 @@ func (l *List[V]) IsSorted() bool {
 	return true
 }
 
-// Clear empties the list. Elements still referenced elsewhere keep their
-// payloads but are no longer linked.
+// Clear unlinks every element. Elements still referenced elsewhere keep
+// their payloads and may be linked again.
 func (l *List[V]) Clear() {
+	for e := l.sentinel.next; e != nil; {
+		next := e.next
+		e.unlink()
+		e = next
+	}
 	l.sentinel.next = nil
 	l.length = 0
+}
+
+// unlink resets the link state of an element its list no longer holds.
+func (e *Element[V]) unlink() {
+	e.next = nil
+	e.linked = false
 }
 
 // SequentialMerge inserts every element of src into dst one by one, the

@@ -248,3 +248,39 @@ func TestRemoveIf(t *testing.T) {
 		t.Fatalf("removed = %d on empty", n)
 	}
 }
+
+func TestLinkCallerOwnedNode(t *testing.T) {
+	a, b := NewList[string](), NewList[string]()
+	a.Insert(10, "x")
+	var n Element[string]
+	if n.Linked() {
+		t.Fatal("zero node reports linked")
+	}
+	if !a.Link(&n, 5, "n") {
+		t.Fatal("Link of an unlinked node failed")
+	}
+	if !n.Linked() || a.Front() != &n || n.Value() != "n" || n.Key() != 5 {
+		t.Fatalf("node not linked at the front: keys %v", a.Keys())
+	}
+	// A linked node is refused by every list, its own included, and
+	// neither list changes.
+	if a.Link(&n, 1, "again") || b.Link(&n, 1, "again") {
+		t.Fatal("Link accepted an already-linked node")
+	}
+	if a.Len() != 2 || b.Len() != 0 || n.Key() != 5 {
+		t.Fatalf("refused Link mutated state: a=%v b=%v", a.Keys(), b.Keys())
+	}
+	if b.Remove(&n) {
+		t.Fatal("Remove found a node of another list")
+	}
+	if !a.Remove(&n) || n.Linked() {
+		t.Fatal("Remove did not unlink the node")
+	}
+	if !b.Link(&n, 7, "moved") {
+		t.Fatal("an unlinked node must link into another list")
+	}
+	b.Clear()
+	if n.Linked() || n.Next() != nil {
+		t.Fatal("Clear left the node linked")
+	}
+}

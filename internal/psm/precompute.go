@@ -49,32 +49,81 @@ type group[V any] struct {
 // its goroutines without locks, exactly as Algorithm 1 specifies.
 type Precomputed[V any] struct {
 	target *List[V]
-	source *List[V]
+	source List[V]
 	arrayB []*Element[V]
 	groups map[int]*group[V]
-	ready  bool
+	// spare holds group descriptors released by merges, rebuilds and
+	// group removals, so re-arming a recycled Precomputed reuses them.
+	spare []*group[V]
+	ready bool
 }
 
 // NewPrecomputed builds the auxiliary structures for merging into target.
 // The source list starts empty; populate it with AddSource.
 func NewPrecomputed[V any](target *List[V]) *Precomputed[V] {
-	p := &Precomputed[V]{
-		target: target,
-		source: NewList[V](),
-	}
+	p := &Precomputed[V]{target: target}
 	p.Rebuild()
 	return p
 }
 
+// Reset re-arms a Precomputed for merging into target, reusing its
+// source-list header, arrayB's capacity, the groups map and the group
+// descriptors: a sandbox that pauses right after a resume arms its
+// structures without allocating. Any elements still on the source list
+// are unlinked first.
+func (p *Precomputed[V]) Reset(target *List[V]) {
+	p.Discard()
+	p.target = target
+	p.Rebuild()
+}
+
+// Discard unlinks every source element, so their nodes may be linked
+// elsewhere, and drops every group. The structures are not ready until
+// Reset or Rebuild. HORSE discards the merge_vcpus of a paused sandbox
+// it forgets.
+func (p *Precomputed[V]) Discard() {
+	p.source.Clear()
+	p.releaseGroups()
+	p.ready = false
+}
+
+// releaseGroups moves every group descriptor to the spare list and
+// empties the groups map, keeping its storage.
+func (p *Precomputed[V]) releaseGroups() {
+	for _, g := range p.groups {
+		p.freeGroup(g)
+	}
+	clear(p.groups)
+}
+
+// newGroup returns a group descriptor, reusing a spare one if any.
+func (p *Precomputed[V]) newGroup(head, tail *Element[V], count int) *group[V] {
+	n := len(p.spare)
+	if n == 0 {
+		return &group[V]{head: head, tail: tail, count: count}
+	}
+	g := p.spare[n-1]
+	p.spare = p.spare[:n-1]
+	*g = group[V]{head: head, tail: tail, count: count}
+	return g
+}
+
+// freeGroup returns a descriptor no longer in the groups map to the
+// spare list, dropping its element references.
+func (p *Precomputed[V]) freeGroup(g *group[V]) {
+	*g = group[V]{}
+	p.spare = append(p.spare, g)
+}
+
 // Source returns the source list A (merge_vcpus). Callers must mutate it
 // only through AddSource/RemoveSource so the groups stay consistent.
-func (p *Precomputed[V]) Source() *List[V] { return p.source }
+func (p *Precomputed[V]) Source() *List[V] { return &p.source }
 
 // Target returns the target list B.
 func (p *Precomputed[V]) Target() *List[V] { return p.target }
 
-// GroupCount returns the number of posA keys, which is also the number of
-// goroutines a Merge will spawn.
+// GroupCount returns the number of posA keys. A Merge splices a single
+// key inline and runs one goroutine per key when there are two or more.
 func (p *Precomputed[V]) GroupCount() int { return len(p.groups) }
 
 // Ready reports whether the structures are current and a Merge may run.
@@ -96,8 +145,9 @@ func (p *Precomputed[V]) MemoryFootprint() int {
 
 // Rebuild reconstructs arrayB from the current target and re-derives every
 // group key from the source elements. It must be called after a Merge to
-// re-arm the structures (HORSE instead discards the Precomputed of the
-// resumed sandbox and updates the others via TargetInserted).
+// re-arm the structures (HORSE instead re-arms the resumed sandbox's
+// Precomputed with Reset at its next pause and updates the others via
+// TargetInserted).
 func (p *Precomputed[V]) Rebuild() {
 	p.arrayB = p.arrayB[:0]
 	if cap(p.arrayB) < p.target.Len() {
@@ -106,7 +156,11 @@ func (p *Precomputed[V]) Rebuild() {
 	for e := p.target.Front(); e != nil; e = e.Next() {
 		p.arrayB = append(p.arrayB, e)
 	}
-	p.groups = make(map[int]*group[V])
+	if p.groups == nil {
+		p.groups = make(map[int]*group[V])
+	} else {
+		p.releaseGroups()
+	}
 	for e := p.source.Front(); e != nil; e = e.Next() {
 		p.attachToGroup(e)
 	}
@@ -132,9 +186,20 @@ func (p *Precomputed[V]) spliceKeyFor(key int64) int {
 // AddSource inserts a new element into the source list and registers it in
 // its group, creating the group if needed. It returns the new element.
 func (p *Precomputed[V]) AddSource(key int64, value V) *Element[V] {
-	e := p.source.Insert(key, value)
-	p.attachToGroup(e)
+	e := &Element[V]{}
+	p.LinkSource(e, key, value)
 	return e
+}
+
+// LinkSource is AddSource for a caller-owned node (List.Link): HORSE
+// links each vCPU's own run-queue node into merge_vcpus at pause time.
+// It reports false, changing nothing, if e is already on a list.
+func (p *Precomputed[V]) LinkSource(e *Element[V], key int64, value V) bool {
+	if !p.source.Link(e, key, value) {
+		return false
+	}
+	p.attachToGroup(e)
+	return true
 }
 
 // attachToGroup registers an already-linked source element in posA.
@@ -142,7 +207,7 @@ func (p *Precomputed[V]) attachToGroup(e *Element[V]) {
 	k := p.spliceKeyFor(e.key)
 	g := p.groups[k]
 	if g == nil {
-		p.groups[k] = &group[V]{head: e, tail: e, count: 1}
+		p.groups[k] = p.newGroup(e, e, 1)
 		return
 	}
 	if e.key < g.head.key {
@@ -165,6 +230,7 @@ func (p *Precomputed[V]) RemoveSource(e *Element[V]) bool {
 	// Fix the group's boundaries before the list forgets e's links.
 	if g.count == 1 {
 		delete(p.groups, k)
+		p.freeGroup(g)
 	} else {
 		switch {
 		case g.head == e:
@@ -258,7 +324,7 @@ func (p *Precomputed[V]) splitGroupAt(lowKey, highKey int, splitKey int64) {
 	if moved == 0 {
 		return
 	}
-	p.groups[highKey] = &group[V]{head: cur, tail: g.tail, count: moved}
+	p.groups[highKey] = p.newGroup(cur, g.tail, moved)
 	g.tail = prev
 	g.count = remaining
 }
@@ -285,6 +351,7 @@ func (p *Precomputed[V]) TargetRemoved(pos int) error {
 			// Adjacent runs in the source list concatenate.
 			below.tail = orphan.tail
 			below.count += orphan.count
+			p.freeGroup(orphan)
 		} else {
 			p.groups[pos-1] = orphan
 		}
@@ -302,48 +369,63 @@ func (p *Precomputed[V]) TargetRemoved(pos int) error {
 
 // MergeResult describes one completed P²SM merge.
 type MergeResult struct {
-	// Groups is the number of posA keys, i.e. the number of splice
-	// goroutines that ran ("threads" in Algorithm 1).
+	// Groups is the number of posA keys ("threads" in Algorithm 1): a
+	// single key is spliced inline, two or more run one goroutine each.
 	Groups int
 	// Merged is the number of source elements now linked into the target.
 	Merged int
 }
 
-// Merge performs Algorithm 1: one goroutine per posA key, each rewiring
-// two next pointers, with no locking — the pointer sets are disjoint by
-// construction. After Merge the source list is empty, the target contains
-// every element, and the precomputed state is consumed (Ready reports
-// false until Rebuild).
+// Merge performs Algorithm 1: each posA key rewires two next pointers,
+// with no locking — the pointer sets are disjoint by construction. A
+// single key is spliced inline; two or more run one goroutine per key.
+// After Merge the source list is empty, the target contains every
+// element, and the precomputed state is consumed (Ready reports false
+// until Rebuild or Reset).
 //
-// The work per goroutine is O(1) and the number of goroutines is the
-// number of distinct splice points (<= |A|), independent of |B| — this is
-// the O(1) claim of paper §4.1.2, which BenchmarkPSMMergeFlat verifies
-// with wall-clock measurements across |B| spanning three orders of
-// magnitude.
+// The work per key is O(1) and the number of keys is the number of
+// distinct splice points (<= |A|), independent of |B| — this is the O(1)
+// claim of paper §4.1.2, which BenchmarkPSMMergeFlat verifies with
+// wall-clock measurements across |B| spanning three orders of magnitude.
 func (p *Precomputed[V]) Merge() (MergeResult, error) {
 	if !p.ready {
 		return MergeResult{}, ErrNotReady
 	}
 	res := MergeResult{Groups: len(p.groups), Merged: p.source.Len()}
 
-	var wg sync.WaitGroup
-	wg.Add(len(p.groups))
-	for k, g := range p.groups {
-		go func(k int, g *group[V]) {
-			defer wg.Done()
-			prev := p.arrayAt(k)
-			tmp := prev.next
-			prev.next = g.head
-			g.tail.next = tmp
-		}(k, g)
+	if len(p.groups) == 1 {
+		for k, g := range p.groups {
+			p.splice(k, g)
+		}
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(len(p.groups))
+		for k, g := range p.groups {
+			go func(k int, g *group[V]) {
+				defer wg.Done()
+				p.splice(k, g)
+			}(k, g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 
-	p.target.length += p.source.Len()
-	p.source.Clear()
-	p.groups = make(map[int]*group[V])
+	// The spliced elements now belong to the target, so the source
+	// header is reset without unlinking them.
+	p.target.length += p.source.length
+	p.source.sentinel.next = nil
+	p.source.length = 0
+	p.releaseGroups()
 	p.ready = false
 	return res, nil
+}
+
+// splice links group g's run immediately after the target element
+// addressed by posA key k.
+func (p *Precomputed[V]) splice(k int, g *group[V]) {
+	prev := p.arrayAt(k)
+	tmp := prev.next
+	prev.next = g.head
+	g.tail.next = tmp
 }
 
 // MergeSequentialBaseline drains the source into the target with per-
@@ -355,8 +437,8 @@ func (p *Precomputed[V]) MergeSequentialBaseline() (MergeResult, error) {
 		return MergeResult{}, ErrNotReady
 	}
 	res := MergeResult{Groups: len(p.groups), Merged: p.source.Len()}
-	SequentialMerge(p.target, p.source)
-	p.groups = make(map[int]*group[V])
+	SequentialMerge(p.target, &p.source)
+	p.releaseGroups()
 	p.ready = false
 	return res, nil
 }

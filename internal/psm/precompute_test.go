@@ -11,9 +11,9 @@ import (
 )
 
 // buildTarget returns a target list with the given keys and a Precomputed
-// armed over it. Merge spawns one goroutine per posA key, so every test
-// built on this helper also verifies the parallel splice leaves no
-// goroutine behind.
+// armed over it. Merge spawns one goroutine per posA key when there are
+// two or more, so every test built on this helper also verifies the
+// parallel splice leaves no goroutine behind.
 func buildTarget(t *testing.T, keys ...int64) (*List[int], *Precomputed[int]) {
 	t.Helper()
 	testutil.VerifyNoLeaks(t)
@@ -421,4 +421,62 @@ func TestMaintenanceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestResetRearmsRecycledFrame(t *testing.T) {
+	target, p := buildTarget(t, 10, 20, 30)
+	p.AddSource(15, 100)
+	p.AddSource(25, 101)
+	if _, err := p.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	// The consumed frame re-arms over a different target and merges
+	// correctly into it.
+	other := NewList[int]()
+	for i, k := range []int64{5, 50} {
+		other.Insert(k, i)
+	}
+	p.Reset(other)
+	if p.Target() != other || !p.Ready() {
+		t.Fatal("Reset did not re-arm over the new target")
+	}
+	var n Element[int]
+	if !p.LinkSource(&n, 40, 7) {
+		t.Fatal("LinkSource refused an unlinked node")
+	}
+	if p.LinkSource(&n, 40, 7) {
+		t.Fatal("LinkSource accepted an already-linked node")
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	assertKeys(t, other, 5, 40, 50)
+	assertKeys(t, target, 10, 15, 20, 25, 30)
+	if !n.Linked() {
+		t.Fatal("a spliced node must stay linked, now in the target")
+	}
+}
+
+func TestDiscardUnlinksSource(t *testing.T) {
+	target, p := buildTarget(t, 10)
+	nodes := make([]Element[int], 3)
+	for i := range nodes {
+		p.LinkSource(&nodes[i], int64(i*10), i)
+	}
+	p.Discard()
+	if p.Ready() || p.GroupCount() != 0 || p.Source().Len() != 0 {
+		t.Fatalf("Discard left ready=%v groups=%d source=%d", p.Ready(), p.GroupCount(), p.Source().Len())
+	}
+	for i := range nodes {
+		if nodes[i].Linked() {
+			t.Fatalf("node %d still linked after Discard", i)
+		}
+		if !target.Link(&nodes[i], nodes[i].Key(), i) {
+			t.Fatalf("node %d could not be linked after Discard", i)
+		}
+	}
+	assertKeys(t, target, 0, 10, 10, 20)
 }

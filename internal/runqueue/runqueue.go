@@ -60,7 +60,16 @@ type Entity struct {
 	Credit int64
 	// Sandbox names the owning sandbox for vCPUs, empty otherwise.
 	Sandbox string
+
+	// node is the entity's own list node, the way a kernel scheduling
+	// entity carries its run-queue node: it cycles between run queues
+	// and a paused sandbox's merge_vcpus without being reallocated.
+	node Element
 }
+
+// Node returns the entity's list node. It is linked while the entity
+// sits on a queue or in a P²SM source list.
+func (ent *Entity) Node() *Element { return &ent.node }
 
 // Element is a placed entity: a node in a queue's sorted list.
 type Element = psm.Element[*Entity]
@@ -88,6 +97,9 @@ var (
 	ErrNotOnQueue    = errors.New("runqueue: element not on this queue")
 	ErrWrongTarget   = errors.New("runqueue: precomputed state targets a different queue")
 	ErrQueueNotEmpty = errors.New("runqueue: queue still has entities")
+	// ErrAlreadyQueued rejects inserting an entity whose node is already
+	// on a queue or a P²SM source list.
+	ErrAlreadyQueued = errors.New("runqueue: entity already queued")
 )
 
 // Queue is one CPU-sorted run queue.
@@ -192,14 +204,19 @@ func (q *Queue) Unobserve(o Observer) {
 func (q *Queue) ObserverCount() int { return len(q.observers) }
 
 // Insert performs the sorted merge of one entity into the queue — the
-// vanilla step-④ operation — and notifies observers. It returns the
-// placed element and its position.
+// vanilla step-④ operation — and notifies observers. It links the
+// entity's own node, so it does not allocate, and returns that node and
+// its position. An entity already on a list is rejected with
+// ErrAlreadyQueued.
 func (q *Queue) Insert(ent *Entity) (*Element, int, error) {
 	if ent == nil {
 		return nil, 0, errors.New("runqueue: nil entity")
 	}
+	e := &ent.node
 	pos := q.list.InsertPosition(ent.Credit)
-	e := q.list.Insert(ent.Credit, ent)
+	if !q.list.Link(e, ent.Credit, ent) {
+		return nil, 0, fmt.Errorf("%w: %s", ErrAlreadyQueued, ent.ID)
+	}
 	q.inserts++
 	for _, o := range q.observers {
 		if err := o.TargetInserted(e, pos); err != nil {
@@ -265,8 +282,17 @@ func (q *Queue) position(e *Element) int {
 // registers them as an observer, so every later queue change keeps them
 // current. The caller owns unregistering (Unobserve) when the paused
 // sandbox resumes or is destroyed.
-func (q *Queue) NewPrecomputed() *psm.Precomputed[*Entity] {
-	p := psm.NewPrecomputed(q.list)
+func (q *Queue) NewPrecomputed() *psm.Precomputed[*Entity] { return q.Rearm(nil) }
+
+// Rearm is NewPrecomputed for a recycled Precomputed, such as one a
+// MergePSM consumed: it resets p over this queue (psm.Precomputed.Reset)
+// and registers it as an observer. A nil p allocates a new one.
+func (q *Queue) Rearm(p *psm.Precomputed[*Entity]) *psm.Precomputed[*Entity] {
+	if p == nil {
+		p = psm.NewPrecomputed(q.list)
+	} else {
+		p.Reset(q.list)
+	}
 	q.Observe(p)
 	return p
 }
@@ -282,10 +308,14 @@ func (q *Queue) MergePSM(p *psm.Precomputed[*Entity]) (psm.MergeResult, error) {
 	q.Unobserve(p)
 
 	// Snapshot the incoming elements so other observers can be told where
-	// each one landed after the splice.
-	incoming := make(map[*Element]bool, p.Source().Len())
-	for e := p.Source().Front(); e != nil; e = e.Next() {
-		incoming[e] = true
+	// each one landed after the splice. With no other observer there is
+	// no one to tell, and no snapshot.
+	var incoming map[*Element]bool
+	if len(q.observers) > 0 {
+		incoming = make(map[*Element]bool, p.Source().Len())
+		for e := p.Source().Front(); e != nil; e = e.Next() {
+			incoming[e] = true
+		}
 	}
 
 	res, err := p.Merge()

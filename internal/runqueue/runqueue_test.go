@@ -307,3 +307,41 @@ func TestSharedQueueMaintenanceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestInsertAlreadyQueuedEntity(t *testing.T) {
+	q1, q2 := New(1), New(2)
+	ent := vcpu("a", 10)
+	e, _, err := q1.Insert(ent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e != ent.Node() {
+		t.Fatal("Insert must link the entity's own node")
+	}
+	for _, q := range []*Queue{q1, q2} {
+		if _, _, err := q.Insert(ent); !errors.Is(err, ErrAlreadyQueued) {
+			t.Fatalf("queue %d: second insert err = %v, want ErrAlreadyQueued", q.ID(), err)
+		}
+	}
+	if q1.Len() != 1 || q2.Len() != 0 || q1.Inserts() != 1 || q2.Inserts() != 0 {
+		t.Fatalf("rejected insert changed queues: len %d/%d inserts %d/%d",
+			q1.Len(), q2.Len(), q1.Inserts(), q2.Inserts())
+	}
+	// A node in a paused sandbox's merge_vcpus is linked too.
+	if err := q1.Remove(e); err != nil {
+		t.Fatal(err)
+	}
+	p := q2.NewPrecomputed()
+	if !p.LinkSource(ent.Node(), ent.Credit, ent) {
+		t.Fatal("LinkSource refused an unqueued entity")
+	}
+	if _, _, err := q1.Insert(ent); !errors.Is(err, ErrAlreadyQueued) {
+		t.Fatalf("insert of a merge_vcpus entity err = %v, want ErrAlreadyQueued", err)
+	}
+	if _, err := q2.MergePSM(p); err != nil {
+		t.Fatal(err)
+	}
+	if got := queueIDs(q2); len(got) != 1 || got[0] != "a" {
+		t.Fatalf("q2 = %v, want [a]", got)
+	}
+}
