@@ -100,11 +100,9 @@ type Engine struct {
 
 	// statePool is a one-slot free list of pausedState frames: a horse
 	// trigger pauses and resumes once per invocation, so the frame
-	// released by the resume is reused by the next pause.
+	// released by the resume, with the P²SM structures it consumed, is
+	// reused by the next pause.
 	statePool *pausedState
-	// prePool likewise holds the P²SM structures the last successful
-	// resume consumed; the next ppsm/horse pause re-arms them.
-	prePool *psm.Precomputed[*runqueue.Entity]
 	// spliceScratch is the reusable element snapshot spliceMergeVCPUs
 	// takes before each merge.
 	spliceScratch []*runqueue.Element
@@ -174,6 +172,7 @@ func (e *Engine) pauseULL(sb *vmm.Sandbox, policy Policy) (vmm.PauseReport, erro
 	} else {
 		e.statePool = nil
 	}
+	pre := st.pre
 	*st = pausedState{policy: policy, queue: q}
 
 	if policy == Coal || policy == Horse {
@@ -200,18 +199,13 @@ func (e *Engine) pauseULL(sb *vmm.Sandbox, policy Policy) (vmm.PauseReport, erro
 	}
 	if policy == PPSM || policy == Horse {
 		// merge_vcpus + posA/arrayB: one sorted-merge per vCPU into the
-		// source list, plus the group bookkeeping. RemoveVCPUs just
-		// unlinked every vCPU's node, so each links straight into
-		// merge_vcpus.
-		st.pre = q.Rearm(e.prePool)
-		e.prePool = nil
+		// source list, plus the group bookkeeping. A running sandbox
+		// has every vCPU placed, and RemoveVCPUs just unlinked each
+		// placement, so every node is free to link into merge_vcpus.
+		st.pre = q.Rearm(pre)
 		for _, v := range sb.VCPUs() {
 			ctx.Charge(vmm.StepPauseMaint, costs.PauseStructMaint)
-			if !st.pre.LinkSource(v.Node(), v.Credit, v) {
-				e.discard(st)
-				return vmm.PauseReport{}, fmt.Errorf("core: pause %s: %w: %s",
-					sb.ID(), runqueue.ErrAlreadyQueued, v.ID)
-			}
+			st.pre.LinkSource(v.Node(), v.Credit, v)
 		}
 	}
 
@@ -273,14 +267,11 @@ func (e *Engine) Resume(sb *vmm.Sandbox, policy Policy) (vmm.ResumeReport, error
 	return report, nil
 }
 
-// recycle returns a released pausedState frame, and the P²SM structures
-// its resume consumed, to the one-slot pools so the next pause reuses
-// them instead of allocating.
+// recycle returns a released pausedState frame to the one-slot pool so
+// the next pause reuses it instead of allocating. The frame keeps the
+// P²SM structures its resume consumed for that pause to re-arm.
 func (e *Engine) recycle(st *pausedState) {
-	if st.pre != nil {
-		e.prePool = st.pre
-	}
-	*st = pausedState{}
+	*st = pausedState{pre: st.pre}
 	e.statePool = st
 }
 
@@ -401,19 +392,16 @@ func (e *Engine) Forget(sb *vmm.Sandbox) {
 	e.dropState(sb, st)
 }
 
+// dropState forgets sb's prepared state. It unregisters the P²SM
+// structures and unlinks the orphaned merge_vcpus, so the sandbox's vCPU
+// nodes can be queued again.
 func (e *Engine) dropState(sb *vmm.Sandbox, st *pausedState) {
-	e.discard(st)
-	delete(e.states, sb.ID())
-	e.prepared.Set(int64(len(e.states)))
-}
-
-// discard unregisters st's P²SM structures and unlinks the orphaned
-// merge_vcpus, so the sandbox's vCPU nodes can be queued again.
-func (e *Engine) discard(st *pausedState) {
 	if st.pre != nil {
 		st.queue.Unobserve(st.pre)
 		st.pre.Discard()
 	}
+	delete(e.states, sb.ID())
+	e.prepared.Set(int64(len(e.states)))
 }
 
 // Validate cross-checks every prepared sandbox's auxiliary structures

@@ -4,9 +4,8 @@ import "testing"
 
 // Allocation pin for the HORSE pause/resume splice: re-arming with
 // Rebuild, linking caller-owned nodes into the source and a single-key
-// Merge (spliced inline, no goroutine) reuse the arrayB capacity, the
-// groups map and the group descriptors, so a warmed-up cycle allocates
-// nothing.
+// Merge (spliced inline, no goroutine) reuse the arrayB capacity and the
+// groups map, so a warmed-up cycle allocates nothing.
 func TestHotPathAllocFree(t *testing.T) {
 	target := NewList[int]()
 	for i := 0; i < 8; i++ {

@@ -13,7 +13,8 @@ var ErrNotReady = errors.New("psm: precomputed state not ready (call Rebuild)")
 // group is one posA entry: a consecutive run of source-list elements that
 // splices immediately after a single target position. head/tail delimit the
 // run *within the source list* (the run is contiguous there because both
-// lists are sorted by the same key).
+// lists are sorted by the same key). The groups map holds descriptors by
+// value, so a cleared map re-arms without allocating any.
 type group[V any] struct {
 	head  *Element[V]
 	tail  *Element[V]
@@ -51,11 +52,8 @@ type Precomputed[V any] struct {
 	target *List[V]
 	source List[V]
 	arrayB []*Element[V]
-	groups map[int]*group[V]
-	// spare holds group descriptors released by merges, rebuilds and
-	// group removals, so re-arming a recycled Precomputed reuses them.
-	spare []*group[V]
-	ready bool
+	groups map[int]group[V]
+	ready  bool
 }
 
 // NewPrecomputed builds the auxiliary structures for merging into target.
@@ -67,10 +65,9 @@ func NewPrecomputed[V any](target *List[V]) *Precomputed[V] {
 }
 
 // Reset re-arms a Precomputed for merging into target, reusing its
-// source-list header, arrayB's capacity, the groups map and the group
-// descriptors: a sandbox that pauses right after a resume arms its
-// structures without allocating. Any elements still on the source list
-// are unlinked first.
+// source-list header, arrayB's capacity and the groups map: a sandbox
+// that pauses right after a resume arms its structures without
+// allocating. Any elements still on the source list are unlinked first.
 func (p *Precomputed[V]) Reset(target *List[V]) {
 	p.Discard()
 	p.target = target
@@ -83,36 +80,8 @@ func (p *Precomputed[V]) Reset(target *List[V]) {
 // it forgets.
 func (p *Precomputed[V]) Discard() {
 	p.source.Clear()
-	p.releaseGroups()
-	p.ready = false
-}
-
-// releaseGroups moves every group descriptor to the spare list and
-// empties the groups map, keeping its storage.
-func (p *Precomputed[V]) releaseGroups() {
-	for _, g := range p.groups {
-		p.freeGroup(g)
-	}
 	clear(p.groups)
-}
-
-// newGroup returns a group descriptor, reusing a spare one if any.
-func (p *Precomputed[V]) newGroup(head, tail *Element[V], count int) *group[V] {
-	n := len(p.spare)
-	if n == 0 {
-		return &group[V]{head: head, tail: tail, count: count}
-	}
-	g := p.spare[n-1]
-	p.spare = p.spare[:n-1]
-	*g = group[V]{head: head, tail: tail, count: count}
-	return g
-}
-
-// freeGroup returns a descriptor no longer in the groups map to the
-// spare list, dropping its element references.
-func (p *Precomputed[V]) freeGroup(g *group[V]) {
-	*g = group[V]{}
-	p.spare = append(p.spare, g)
+	p.ready = false
 }
 
 // Source returns the source list A (merge_vcpus). Callers must mutate it
@@ -157,9 +126,9 @@ func (p *Precomputed[V]) Rebuild() {
 		p.arrayB = append(p.arrayB, e)
 	}
 	if p.groups == nil {
-		p.groups = make(map[int]*group[V])
+		p.groups = make(map[int]group[V])
 	} else {
-		p.releaseGroups()
+		clear(p.groups)
 	}
 	for e := p.source.Front(); e != nil; e = e.Next() {
 		p.attachToGroup(e)
@@ -205,9 +174,9 @@ func (p *Precomputed[V]) LinkSource(e *Element[V], key int64, value V) bool {
 // attachToGroup registers an already-linked source element in posA.
 func (p *Precomputed[V]) attachToGroup(e *Element[V]) {
 	k := p.spliceKeyFor(e.key)
-	g := p.groups[k]
-	if g == nil {
-		p.groups[k] = p.newGroup(e, e, 1)
+	g, ok := p.groups[k]
+	if !ok {
+		p.groups[k] = group[V]{head: e, tail: e, count: 1}
 		return
 	}
 	if e.key < g.head.key {
@@ -217,20 +186,20 @@ func (p *Precomputed[V]) attachToGroup(e *Element[V]) {
 		g.tail = e
 	}
 	g.count++
+	p.groups[k] = g
 }
 
 // RemoveSource unlinks a source element and updates its group. It reports
 // whether the element was present.
 func (p *Precomputed[V]) RemoveSource(e *Element[V]) bool {
 	k := p.spliceKeyFor(e.key)
-	g := p.groups[k]
-	if g == nil || !p.groupContains(g, e) {
+	g, ok := p.groups[k]
+	if !ok || !p.groupContains(g, e) {
 		return false
 	}
 	// Fix the group's boundaries before the list forgets e's links.
 	if g.count == 1 {
 		delete(p.groups, k)
-		p.freeGroup(g)
 	} else {
 		switch {
 		case g.head == e:
@@ -242,12 +211,13 @@ func (p *Precomputed[V]) RemoveSource(e *Element[V]) bool {
 			}
 		}
 		g.count--
+		p.groups[k] = g
 	}
 	return p.source.Remove(e)
 }
 
 // groupContains reports whether e appears in the group's run.
-func (p *Precomputed[V]) groupContains(g *group[V], e *Element[V]) bool {
+func (p *Precomputed[V]) groupContains(g group[V], e *Element[V]) bool {
 	for cur := g.head; ; cur = cur.next {
 		if cur == e {
 			return true
@@ -259,7 +229,7 @@ func (p *Precomputed[V]) groupContains(g *group[V], e *Element[V]) bool {
 }
 
 // predecessorInGroup walks the group's run to find the element before e.
-func (p *Precomputed[V]) predecessorInGroup(g *group[V], e *Element[V]) *Element[V] {
+func (p *Precomputed[V]) predecessorInGroup(g group[V], e *Element[V]) *Element[V] {
 	for cur := g.head; cur != nil && cur != g.tail.next; cur = cur.next {
 		if cur.next == e {
 			return cur
@@ -281,7 +251,7 @@ func (p *Precomputed[V]) TargetInserted(e *Element[V], pos int) error {
 	p.arrayB[pos] = e
 
 	if len(p.groups) > 0 {
-		shifted := make(map[int]*group[V], len(p.groups))
+		shifted := make(map[int]group[V], len(p.groups))
 		for k, g := range p.groups {
 			if k >= pos {
 				k++
@@ -298,8 +268,8 @@ func (p *Precomputed[V]) TargetInserted(e *Element[V], pos int) error {
 // move to a new group keyed highKey (they now splice after the newly
 // inserted target element).
 func (p *Precomputed[V]) splitGroupAt(lowKey, highKey int, splitKey int64) {
-	g := p.groups[lowKey]
-	if g == nil {
+	g, ok := p.groups[lowKey]
+	if !ok {
 		return
 	}
 	// Find the first element of the run with key >= splitKey.
@@ -324,9 +294,10 @@ func (p *Precomputed[V]) splitGroupAt(lowKey, highKey int, splitKey int64) {
 	if moved == 0 {
 		return
 	}
-	p.groups[highKey] = p.newGroup(cur, g.tail, moved)
+	p.groups[highKey] = group[V]{head: cur, tail: g.tail, count: moved}
 	g.tail = prev
 	g.count = remaining
+	p.groups[lowKey] = g
 }
 
 // TargetRemoved records that the target element formerly at 0-based
@@ -344,19 +315,17 @@ func (p *Precomputed[V]) TargetRemoved(pos int) error {
 	if len(p.groups) == 0 {
 		return nil
 	}
-	orphan := p.groups[pos]
-	if orphan != nil {
+	if orphan, ok := p.groups[pos]; ok {
 		delete(p.groups, pos)
-		if below := p.groups[pos-1]; below != nil {
+		if below, ok := p.groups[pos-1]; ok {
 			// Adjacent runs in the source list concatenate.
 			below.tail = orphan.tail
 			below.count += orphan.count
-			p.freeGroup(orphan)
-		} else {
-			p.groups[pos-1] = orphan
+			orphan = below
 		}
+		p.groups[pos-1] = orphan
 	}
-	shifted := make(map[int]*group[V], len(p.groups))
+	shifted := make(map[int]group[V], len(p.groups))
 	for k, g := range p.groups {
 		if k > pos {
 			k--
@@ -398,10 +367,15 @@ func (p *Precomputed[V]) Merge() (MergeResult, error) {
 			p.splice(k, g)
 		}
 	} else {
+		// HORSE's own merges land here only when the ull_runqueue holds
+		// entries whose keys fall between the sandbox's vCPU credits; no
+		// cluster workload or horsebench experiment does that today, so
+		// this branch keeps Algorithm 1's parallel splice for the
+		// multi-group tests (run under -race) and BenchmarkPSMMergeGroups.
 		var wg sync.WaitGroup
 		wg.Add(len(p.groups))
 		for k, g := range p.groups {
-			go func(k int, g *group[V]) {
+			go func(k int, g group[V]) {
 				defer wg.Done()
 				p.splice(k, g)
 			}(k, g)
@@ -414,14 +388,14 @@ func (p *Precomputed[V]) Merge() (MergeResult, error) {
 	p.target.length += p.source.length
 	p.source.sentinel.next = nil
 	p.source.length = 0
-	p.releaseGroups()
+	clear(p.groups)
 	p.ready = false
 	return res, nil
 }
 
 // splice links group g's run immediately after the target element
 // addressed by posA key k.
-func (p *Precomputed[V]) splice(k int, g *group[V]) {
+func (p *Precomputed[V]) splice(k int, g group[V]) {
 	prev := p.arrayAt(k)
 	tmp := prev.next
 	prev.next = g.head
@@ -438,7 +412,7 @@ func (p *Precomputed[V]) MergeSequentialBaseline() (MergeResult, error) {
 	}
 	res := MergeResult{Groups: len(p.groups), Merged: p.source.Len()}
 	SequentialMerge(p.target, &p.source)
-	p.releaseGroups()
+	clear(p.groups)
 	p.ready = false
 	return res, nil
 }
