@@ -257,9 +257,9 @@ func benchPSMMerge(b *testing.B, targetSize, sourceSize int, sequential bool) {
 	}
 }
 
-// BenchmarkPSMMergeGroups sweeps the number of posA keys: Algorithm 1
-// spawns one goroutine per key (a single key is spliced inline), so the
-// wall cost grows with group count but not with list sizes.
+// BenchmarkPSMMergeGroups sweeps the number of posA keys: each key is
+// two pointer writes, so the wall cost grows with group count but not
+// with list sizes.
 func BenchmarkPSMMergeGroups(b *testing.B) {
 	const targetSize = 10_000
 	for _, groups := range []int{1, 4, 16, 36} {

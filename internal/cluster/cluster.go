@@ -60,13 +60,15 @@ const (
 // deploymentEntry is the cluster's record of one registered function.
 // tenant is the owning tenant's index in the cluster's controller (-1
 // for untenanted functions, which are never admission-gated);
-// tenantName is its name, carried into traces and the report.
+// tenantName is its name, carried into traces and the report, and
+// rejects are the admission-reject errors its refused arrivals carry.
 type deploymentEntry struct {
 	fn         workload.Function
 	spec       faas.SandboxSpec
 	ull        bool
 	tenant     int
 	tenantName string
+	rejects    admissionErrors
 }
 
 // Options configures a Cluster.
@@ -167,11 +169,14 @@ type Cluster struct {
 	rehomeFailed uint64            //horselint:coordinator
 
 	// Epoch state kept across calls: inline is Trigger's one-shard
-	// serve barrier (no workers, nothing to close), and scheduled is
-	// serveEpoch's buffer of routed jobs, reused so a wave does not
-	// allocate one.
+	// serve barrier (no workers, nothing to close), single is Trigger's
+	// one-job epoch, scheduled is serveEpoch's buffer of routed jobs,
+	// reused so a wave does not allocate one, and idle holds finalized
+	// jobs for mintJob to reuse.
 	inline    *eventsim.ShardGroup //horselint:coordinator
+	single    []*pendingJob        //horselint:coordinator
 	scheduled []*pendingJob        //horselint:coordinator
+	idle      []*pendingJob        //horselint:coordinator
 }
 
 // New builds a cluster of fresh nodes at the simulation epoch.
@@ -211,6 +216,7 @@ func New(opts Options) (*Cluster, error) {
 		rec:         opts.Trace,
 		failovers:   make(map[string]uint64),
 		inline:      eventsim.NewShardGroup(1),
+		single:      make([]*pendingJob, 1),
 	}
 	for i, spec := range specs {
 		spec = spec.withDefaults()
@@ -643,11 +649,16 @@ func (c *Cluster) Trigger(name string, mode faas.StartMode, payload []byte) (faa
 		return faas.Invocation{}, Placement{NodeIndex: -1}, fmt.Errorf("%w: %q", faas.ErrUnknownFunction, name)
 	}
 	job := c.mintJob(name, mode, payload, c.clock.Now())
-	err := c.serveEpoch(c.inline, []*pendingJob{job}, nil)
+	c.single[0] = job
+	err := c.serveEpoch(c.inline, c.single, nil)
 	p := Placement{NodeIndex: -1, Failovers: job.failovers}
 	if err != nil {
+		// The epoch broke off with the job possibly still queued on a
+		// node engine, so it is not recycled.
 		return faas.Invocation{}, p, err
 	}
+	// The results are read back before the deferred recycle clears them.
+	defer c.recycleJob(job)
 	// A node is reported only where the trigger ended: served there, or
 	// its body failed there and was deliberately not retried. job.node
 	// is otherwise a stale pick the trigger failed over from.

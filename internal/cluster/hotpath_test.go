@@ -3,8 +3,12 @@ package cluster
 import (
 	"testing"
 
+	"github.com/horse-faas/horse/internal/core"
+	"github.com/horse-faas/horse/internal/faas"
+	"github.com/horse-faas/horse/internal/loadgen"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/tenant"
+	"github.com/horse-faas/horse/internal/workload"
 )
 
 // Allocation sinks keep the pinned calls from being optimized away.
@@ -125,5 +129,57 @@ func TestHotPathAllocFree(t *testing.T) {
 		sinkVerdict = c.router.Admit(-1, now, true)
 	}); n != 0 {
 		t.Errorf("Router.Admit (untenanted) allocates %v per run, want 0", n)
+	}
+}
+
+// nullNAT is the NAT function with a body that does nothing, so a run
+// over it measures the platform alone.
+type nullNAT struct{ workload.Function }
+
+var nullResponse = []byte(`{}`)
+
+func (nullNAT) Invoke([]byte) ([]byte, error) { return nullResponse, nil }
+
+// Allocation pin for the whole arrival path of a warm run: mint, admit,
+// route, serve and finalize. Events, jobs and dropped traces are
+// recycled, the arrival and serve handlers are bound once, and the
+// HORSE pause/resume cycle allocates nothing, so a null-body HORSE Run
+// allocates well under one object per arrival; what remains is the
+// run's fixed setup and the report's sample slices growing by doubling.
+func TestHotPathAllocFreeRun(t *testing.T) {
+	specs := make([]NodeSpec, 8)
+	for i := range specs {
+		specs[i].ULLSlots = 4
+	}
+	c, err := New(Options{Specs: specs, Policy: PolicyRoundRobin, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterEverywhere(nullNAT{workload.DefaultNAT()}, faas.SandboxSpec{VCPUs: 1, MemoryMB: 128}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ScaleCluster("nat", 16, core.Horse); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := loadgen.ParseWorkloads("nat=poisson:rate=1000000/s,mode=horse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := RunConfig{Workloads: ws, Horizon: 20 * simtime.Millisecond}
+	var report Report
+	run := func() {
+		if report, err = c.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// AllocsPerRun's untimed first call warms the pools, the free lists
+	// and the recorder; the counted one is a warm run.
+	allocs := testing.AllocsPerRun(1, run)
+	if report.Served != report.Arrivals || report.Arrivals < 10_000 {
+		t.Fatalf("served %d of %d arrivals, want all of at least 10000", report.Served, report.Arrivals)
+	}
+	if perArrival := allocs / float64(report.Arrivals); perArrival >= 0.1 {
+		t.Errorf("warm null-body HORSE Run allocates %.3f per arrival (%v over %d), want < 0.1",
+			perArrival, allocs, report.Arrivals)
 	}
 }

@@ -63,8 +63,13 @@ type RunConfig struct {
 // shard, and finalized by the coordinator in arrival order. Exactly
 // one goroutine owns it at a time — the coordinator hands it to a node
 // engine at a barrier and takes it back at the next — so its fields
-// need no locks.
+// need no locks. Once finalized, a job is recycled (recycleJob) and a
+// later mintJob reuses it.
 type pendingJob struct {
+	// serve is the node-engine handler that serves this job, bound once
+	// when the job is first built so routing it allocates no closure.
+	serve eventsim.Handler //horselint:coordinator
+
 	fn      string
 	ull     bool
 	mode    faas.StartMode
@@ -103,7 +108,8 @@ type pendingJob struct {
 }
 
 // exclude rules a node out of this job's remaining routing decisions.
-// Allocated lazily: the common trigger serves on its first pick.
+// Allocated lazily — the common trigger serves on its first pick — and
+// kept, cleared, when the job is recycled.
 //
 //horselint:coordinator
 func (j *pendingJob) exclude(idx, nodes int) {
@@ -223,6 +229,9 @@ func (c *Cluster) Run(cfg RunConfig) (Report, error) {
 			if err := c.serveEpoch(group, epoch, builder); err != nil {
 				return Report{}, err
 			}
+			for _, job := range epoch {
+				c.recycleJob(job)
+			}
 			epoch = epoch[:0]
 		}
 		now = next
@@ -244,13 +253,40 @@ func (c *Cluster) mintJob(fn string, mode faas.StartMode, payload []byte, at sim
 	tc := c.rec.Start(c.seq, fn, mode.String(), at, c.sloBudgets[fn])
 	tc.SetTenant(entry.tenantName)
 	c.seq++
-	job := &pendingJob{fn: fn, ull: entry.ull, mode: mode, payload: payload, arrival: at, tc: tc}
+	job := c.newJob()
+	job.fn, job.ull, job.mode, job.payload, job.arrival, job.tc = fn, entry.ull, mode, payload, at, tc
 	if v := c.router.Admit(entry.tenant, at, entry.ull); v != tenant.Admitted {
-		job.err = admissionError(entry.tenantName, v)
+		job.err = entry.rejects[v]
 		job.outErr = job.err.Error()
 		c.rejected++
 	}
 	return job
+}
+
+// newJob takes a recycled job off the idle list, or builds one and binds
+// its serve handler.
+//
+//horselint:coordinator
+func (c *Cluster) newJob() *pendingJob {
+	if n := len(c.idle); n > 0 {
+		job := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		return job
+	}
+	job := &pendingJob{}
+	job.serve = func(simtime.Time) { c.serveJob(job) }
+	return job
+}
+
+// recycleJob returns a finalized job to the idle list. Everything but
+// its serve handler and its (cleared) excluded map is zeroed, the trace
+// context included: that context died when finalize completed it.
+//
+//horselint:coordinator
+func (c *Cluster) recycleJob(job *pendingJob) {
+	clear(job.excluded)
+	*job = pendingJob{serve: job.serve, excluded: job.excluded}
+	c.idle = append(c.idle, job)
 }
 
 // serveEpoch routes and serves one epoch's arrivals. Routing runs on
@@ -397,7 +433,7 @@ func (c *Cluster) routeJob(job *pendingJob) bool {
 		if local := n.platform.Clock().Now(); local.After(at) {
 			at = local
 		}
-		if _, serr := n.engine.Schedule(at, func(simtime.Time) { c.serveJob(job) }); serr != nil {
+		if _, serr := n.engine.Schedule(at, job.serve); serr != nil {
 			// Unreachable: at is clamped to the node's current instant.
 			job.err = serr
 			job.outErr = serr.Error()

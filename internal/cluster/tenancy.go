@@ -33,11 +33,21 @@ const (
 	RejectReasonAdmission = "admission"
 )
 
-// admissionError renders one admission reject. The tenant name and the
-// gate that fired are both in the message so a trace or report error
-// string attributes the reject without cross-referencing counters.
-func admissionError(tenantName string, v tenant.Verdict) error {
-	return fmt.Errorf("%w: tenant %q over its %s budget", ErrAdmissionRejected, tenantName, v.Reason())
+// admissionErrors are one tenant's admission-reject errors indexed by
+// verdict (nil at Admitted). They are built once, when a function binds
+// to the tenant, so a refused arrival formats nothing.
+type admissionErrors [tenant.RejectedShare + 1]error
+
+// newAdmissionErrors renders tenantName's rejects. The tenant name and
+// the gate that fired are both in the message so a trace or report
+// error string attributes the reject without cross-referencing
+// counters.
+func newAdmissionErrors(tenantName string) admissionErrors {
+	var errs admissionErrors
+	for _, v := range []tenant.Verdict{tenant.RejectedRate, tenant.RejectedShare} {
+		errs[v] = fmt.Errorf("%w: tenant %q over its %s budget", ErrAdmissionRejected, tenantName, v.Reason())
+	}
+	return errs
 }
 
 // rejectionReason classifies a rejection error for the report's
@@ -84,6 +94,7 @@ func (c *Cluster) BindTenant(name, tenantName string) error {
 	}
 	entry.tenant = idx
 	entry.tenantName = tenantName
+	entry.rejects = newAdmissionErrors(tenantName)
 	c.deployments[name] = entry
 	return nil
 }

@@ -8,15 +8,16 @@
 //     list), arms P²SM's arrayB/posA structures against that queue, and
 //     precomputes the coalesced load-update coefficients (αⁿ, β·Σαⁱ).
 //   - At resume time it enters a pre-armed fast path that splices
-//     merge_vcpus into the ull_runqueue in O(1) — a single posA key
-//     inline, two or more with one goroutine per key — applies a single
-//     fused load update, and flips the sandbox to running — ≈150 ns
-//     regardless of the vCPU count, versus a vanilla resume that grows
-//     linearly with it.
+//     merge_vcpus into the ull_runqueue in O(1) — two pointer writes per
+//     posA key — applies a single fused load update, and flips the
+//     sandbox to running — ≈150 ns regardless of the vCPU count, versus
+//     a vanilla resume that grows linearly with it.
 //
 // merge_vcpus links each vCPU's own run-queue node (runqueue.Entity.Node),
-// and the engine recycles the P²SM structures a resume consumed for the
-// next pause, so neither resume path allocates per vCPU.
+// the engine recycles the P²SM structures a resume consumed for the next
+// pause, and the hypervisor carves each report's steps from a slab, so
+// a Pause+Resume cycle makes no allocation on either resume path, at
+// any vCPU count.
 //
 // The package also implements the two ablated variants the evaluation
 // compares (Figure 3): ppsm (P²SM only, per-vCPU load updates) and coal
@@ -426,9 +427,8 @@ func (e *Engine) Validate() error {
 
 // MergeThreadCount returns the posA key count of sb's next HORSE resume,
 // or 0 if not prepared: the number of merge threads of Algorithm 1. The
-// host-side Merge splices a single key inline and spawns one goroutine
-// per key for two or more; the colocation experiment models one merge
-// thread per key either way.
+// host-side Merge splices every key inline; the colocation experiment
+// models one merge thread per key.
 func (e *Engine) MergeThreadCount(sb *vmm.Sandbox) int {
 	st, ok := e.states[sb.ID()]
 	if !ok || st.pre == nil {

@@ -18,7 +18,9 @@ import (
 )
 
 // EventID identifies a scheduled event so it can be cancelled. IDs are
-// never reused within one Engine.
+// never reused within one Engine, even though the event structs behind
+// them are: a Cancel of a fired or cancelled event's ID misses, whatever
+// event now occupies its recycled struct.
 type EventID uint64
 
 // Handler is the callback invoked when an event fires. now is the virtual
@@ -90,6 +92,9 @@ type Engine struct {
 	nextID  EventID
 	nextSeq uint64
 	fired   uint64 // lifetime count of events fired (Step/Run/RunUntil)
+	// free holds the structs of fired and cancelled events for Schedule
+	// to reuse, so a steady stream of events allocates none.
+	free []*event
 }
 
 // New returns an engine over the given clock. Passing a nil clock creates
@@ -135,7 +140,13 @@ func (e *Engine) Schedule(at simtime.Time, handler Handler) (EventID, error) {
 	}
 	e.nextID++
 	e.nextSeq++
-	ev := &event{id: e.nextID, at: at, seq: e.nextSeq, handler: handler}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	*ev = event{id: e.nextID, at: at, seq: e.nextSeq, handler: handler}
 	heap.Push(&e.heap, ev)
 	e.pending[ev.id] = ev
 	return ev.id, nil
@@ -162,7 +173,17 @@ func (e *Engine) Cancel(id EventID) bool {
 	}
 	delete(e.pending, id)
 	heap.Remove(&e.heap, ev.index)
+	e.recycle(ev)
 	return true
+}
+
+// recycle returns an event that left the queue to the free list. The
+// handler is dropped so the struct keeps nothing it captured alive.
+//
+//horselint:shardphase
+func (e *Engine) recycle(ev *event) {
+	ev.handler = nil
+	e.free = append(e.free, ev)
 }
 
 // Step fires the earliest pending event, advancing the clock to its
@@ -185,7 +206,11 @@ func (e *Engine) Step() bool {
 		e.clock.AdvanceTo(ev.at)
 	}
 	e.fired++
-	ev.handler(ev.at)
+	// The struct is recycled before the handler runs, so a handler that
+	// schedules its successor reuses it.
+	at, handler := ev.at, ev.handler
+	e.recycle(ev)
+	handler(at)
 	return true
 }
 

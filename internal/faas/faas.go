@@ -462,10 +462,12 @@ func (p *Platform) attempt(tc trigtrace.Context, d *Deployment, name string, mod
 	defer span.End()
 	span.Attr("function", name)
 	span.Attr("mode", mode.String())
-	if tc.Active() {
+	if tc.Active() && span.Active() {
 		// Stamp the trigger's trace ID onto this attempt's spans — the
 		// invocation span here and the pause/resume spans the hypervisor
 		// opens underneath it — so they join the trigger's causal tree.
+		// With the hypervisor tracer off there is no span to stamp, and
+		// the ID is not even rendered.
 		span.Attr("trigger", tc.IDString())
 		p.h.SetTraceTag(tc.IDString())
 		defer p.h.SetTraceTag("")

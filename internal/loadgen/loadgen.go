@@ -506,6 +506,15 @@ type source struct {
 	// the per-arrival path skips the registry lookup (nil when the
 	// generator has no metrics sink).
 	arrivals *telemetry.Counter
+
+	// The arrival loop, bound once by Install: fire is the event handler
+	// that delivers one arrival to sink and re-schedules itself on
+	// engine, so an arrival allocates no closure.
+	g       *Generator
+	engine  *eventsim.Engine
+	horizon simtime.Time
+	sink    func(Arrival)
+	fire    eventsim.Handler
 }
 
 // newSource derives the workload's PRNG stream from the generator seed
@@ -571,40 +580,47 @@ func (g *Generator) Install(engine *eventsim.Engine, horizon simtime.Time, sink 
 	for i, w := range g.workloads {
 		src := newSource(g.seed, i, w)
 		src.arrivals = g.metrics.Counter("loadgen_arrivals_total", "function", w.Function)
-		if err := g.scheduleNext(engine, src, engine.Now(), horizon, sink); err != nil {
+		src.g, src.engine, src.horizon, src.sink = g, engine, horizon, sink
+		src.fire = src.arrive
+		if err := src.scheduleNext(engine.Now()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// scheduleNext schedules src's next arrival after from, if it lands
-// before the horizon.
-func (g *Generator) scheduleNext(engine *eventsim.Engine, src *source, from, horizon simtime.Time, sink func(Arrival)) error {
-	at := src.next(from)
-	if !at.Before(horizon) {
+// scheduleNext schedules the source's next arrival after from, if it
+// lands before the horizon.
+func (s *source) scheduleNext(from simtime.Time) error {
+	at := s.next(from)
+	if !at.Before(s.horizon) {
 		return nil
 	}
-	_, err := engine.Schedule(at, func(now simtime.Time) {
-		a := Arrival{
-			Seq:      g.seq,
-			At:       now,
-			Function: src.w.Function,
-			Mode:     src.w.Mix.draw(src.rng.Float64()),
-		}
-		g.seq++
-		src.arrivals.Inc()
-		sink(a)
-		// Open loop: the next arrival is scheduled from this instant,
-		// regardless of how long the sink's downstream work takes.
-		if serr := g.scheduleNext(engine, src, now, horizon, sink); serr != nil {
-			// Scheduling in the past cannot happen (at >= now by
-			// construction); a nil-handler error cannot either. Panic
-			// rather than silently truncating the arrival stream.
-			panic(fmt.Sprintf("loadgen: rescheduling %s: %v", src.w.Function, serr))
-		}
-	})
+	_, err := s.engine.Schedule(at, s.fire)
 	return err
+}
+
+// arrive is the source's event handler: it delivers one arrival to the
+// sink and schedules the next.
+func (s *source) arrive(now simtime.Time) {
+	g := s.g
+	a := Arrival{
+		Seq:      g.seq,
+		At:       now,
+		Function: s.w.Function,
+		Mode:     s.w.Mix.draw(s.rng.Float64()),
+	}
+	g.seq++
+	s.arrivals.Inc()
+	s.sink(a)
+	// Open loop: the next arrival is scheduled from this instant,
+	// regardless of how long the sink's downstream work takes.
+	if err := s.scheduleNext(now); err != nil {
+		// Scheduling in the past cannot happen (at >= now by
+		// construction); a nil-handler error cannot either. Panic
+		// rather than silently truncating the arrival stream.
+		panic(fmt.Sprintf("loadgen: rescheduling %s: %v", s.w.Function, err))
+	}
 }
 
 // Collect runs a standalone engine to the horizon and returns every

@@ -13,9 +13,9 @@
 //     that belongs immediately after that position.
 //
 // With these precomputed, the merge itself is two pointer writes per posA
-// key. A single key is spliced inline; two or more are spliced by
-// concurrent goroutines, one per key, with no mutual exclusion (each
-// goroutine touches a disjoint set of next pointers).
+// key. The paper splices the keys on concurrent threads, one per key,
+// with no mutual exclusion (each touches a disjoint set of next
+// pointers); this package splices them inline, with the same result.
 //
 // This file provides the sorted singly-linked list both A and B are built
 // from. The list uses a head sentinel so "splice before the first element"
@@ -55,9 +55,7 @@ func (e *Element[V]) Linked() bool { return e.linked }
 // behaviour of a credit-sorted run queue: a newly inserted vCPU queues
 // behind already-runnable vCPUs with the same credit.
 //
-// List is not safe for concurrent mutation. The concurrent phase of P²SM
-// (Merge) is safe because each goroutine writes a disjoint set of pointers;
-// see Precomputed.Merge.
+// List is not safe for concurrent mutation.
 type List[V any] struct {
 	sentinel Element[V]
 	length   int

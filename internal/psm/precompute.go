@@ -3,7 +3,6 @@ package psm
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrNotReady is returned by Merge when the precomputed state has been
@@ -46,8 +45,7 @@ type group[V any] struct {
 //     the paper's "negligible" characterization.
 //
 // Precomputed is not safe for concurrent use; HORSE serializes structure
-// maintenance under the pause/resume lock. The Merge phase itself runs
-// its goroutines without locks, exactly as Algorithm 1 specifies.
+// maintenance and the merge under the pause/resume lock.
 type Precomputed[V any] struct {
 	target *List[V]
 	source List[V]
@@ -91,8 +89,8 @@ func (p *Precomputed[V]) Source() *List[V] { return &p.source }
 // Target returns the target list B.
 func (p *Precomputed[V]) Target() *List[V] { return p.target }
 
-// GroupCount returns the number of posA keys. A Merge splices a single
-// key inline and runs one goroutine per key when there are two or more.
+// GroupCount returns the number of posA keys: the merge threads of
+// Algorithm 1 the next Merge stands for.
 func (p *Precomputed[V]) GroupCount() int { return len(p.groups) }
 
 // Ready reports whether the structures are current and a Merge may run.
@@ -338,16 +336,19 @@ func (p *Precomputed[V]) TargetRemoved(pos int) error {
 
 // MergeResult describes one completed P²SM merge.
 type MergeResult struct {
-	// Groups is the number of posA keys ("threads" in Algorithm 1): a
-	// single key is spliced inline, two or more run one goroutine each.
+	// Groups is the number of posA keys: the merge threads of Algorithm
+	// 1, which the cost model charges for (vmm.CostModel.PSMMerge). The
+	// host-side Merge splices every key inline.
 	Groups int
 	// Merged is the number of source elements now linked into the target.
 	Merged int
 }
 
-// Merge performs Algorithm 1: each posA key rewires two next pointers,
-// with no locking — the pointer sets are disjoint by construction. A
-// single key is spliced inline; two or more run one goroutine per key.
+// Merge performs Algorithm 1: each posA key rewires two next pointers.
+// The paper runs one merge thread per key, without locking, because the
+// pointer sets are disjoint; the host-side simulation splices the keys
+// inline one after another, which yields the same lists, and the cost
+// model charges the threads' virtual time (vmm.CostModel.PSMMerge).
 // After Merge the source list is empty, the target contains every
 // element, and the precomputed state is consumed (Ready reports false
 // until Rebuild or Reset).
@@ -361,26 +362,8 @@ func (p *Precomputed[V]) Merge() (MergeResult, error) {
 		return MergeResult{}, ErrNotReady
 	}
 	res := MergeResult{Groups: len(p.groups), Merged: p.source.Len()}
-
-	if len(p.groups) == 1 {
-		for k, g := range p.groups {
-			p.splice(k, g)
-		}
-	} else {
-		// HORSE's own merges land here only when the ull_runqueue holds
-		// entries whose keys fall between the sandbox's vCPU credits; no
-		// cluster workload or horsebench experiment does that today, so
-		// this branch keeps Algorithm 1's parallel splice for the
-		// multi-group tests (run under -race) and BenchmarkPSMMergeGroups.
-		var wg sync.WaitGroup
-		wg.Add(len(p.groups))
-		for k, g := range p.groups {
-			go func(k int, g group[V]) {
-				defer wg.Done()
-				p.splice(k, g)
-			}(k, g)
-		}
-		wg.Wait()
+	for k, g := range p.groups {
+		p.splice(k, g)
 	}
 
 	// The spliced elements now belong to the target, so the source

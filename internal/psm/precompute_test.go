@@ -11,9 +11,8 @@ import (
 )
 
 // buildTarget returns a target list with the given keys and a Precomputed
-// armed over it. Merge spawns one goroutine per posA key when there are
-// two or more, so every test built on this helper also verifies the
-// parallel splice leaves no goroutine behind.
+// armed over it. Every test built on this helper also verifies that
+// the merge leaves no goroutine behind.
 func buildTarget(t *testing.T, keys ...int64) (*List[int], *Precomputed[int]) {
 	t.Helper()
 	testutil.VerifyNoLeaks(t)

@@ -106,8 +106,7 @@ var (
 //
 // Queue is not safe for concurrent use: the virtualization system
 // serializes run-queue surgery under its scheduler locks, and the
-// simulation is single-threaded. P²SM's merge goroutines are safe because
-// they partition the pointer writes (see package psm).
+// simulation is single-threaded.
 type Queue struct {
 	id        int
 	reserved  bool

@@ -117,7 +117,20 @@ type StopwatchResult struct {
 type Stopwatch struct {
 	clock *Clock
 	steps []StopwatchResult
+	// slab is the unused tail of the block Steps carves its copies
+	// from, and slabLen the length of the last block made. Blocks
+	// double from minSlab to maxSlab, so a stopwatch used a few times
+	// stays small while one reused for every pause or resume pays one
+	// allocation per maxSlab recorded results, not one per report.
+	slab    []StopwatchResult
+	slabLen int
 }
+
+// The bounds of a Steps slab's length.
+const (
+	minSlab = 8
+	maxSlab = 256
+)
 
 // NewStopwatch returns a stopwatch bound to clock.
 func NewStopwatch(clock *Clock) *Stopwatch {
@@ -146,9 +159,18 @@ func (s *Stopwatch) Reset(clock *Clock) {
 	s.steps = s.steps[:0]
 }
 
-// Steps returns a copy of the recorded steps in first-seen order.
+// Steps returns a copy of the recorded steps in first-seen order. The
+// copy is the caller's: it is carved from a slab no other copy overlaps,
+// and its capacity is capped at its length, so neither writing to it
+// nor appending to it can reach another report's steps.
 func (s *Stopwatch) Steps() []StopwatchResult {
-	out := make([]StopwatchResult, len(s.steps))
+	n := len(s.steps)
+	if len(s.slab) < n {
+		s.slabLen = min(max(2*s.slabLen, minSlab), maxSlab)
+		s.slab = make([]StopwatchResult, max(s.slabLen, n))
+	}
+	out := s.slab[:n:n]
+	s.slab = s.slab[n:]
 	copy(out, s.steps)
 	return out
 }

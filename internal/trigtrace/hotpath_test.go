@@ -1,6 +1,10 @@
 package trigtrace
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/horse-faas/horse/internal/simtime"
+)
 
 // Allocation sinks keep the pinned calls from being optimized away.
 var (
@@ -44,5 +48,34 @@ func TestHotPathAllocFree(t *testing.T) {
 		sinkInt = tc.Mark() + inert.Mark()
 	}); n != 0 {
 		t.Errorf("Context.Mark allocates %v per run, want 0", n)
+	}
+}
+
+// Allocation pin for a whole armed trace on the common path: a trigger
+// inside its SLO that does not make the worst-K set. The flight
+// recorder drops it, the recorder recycles it, and the next Start
+// reuses it with its Stages capacity, so Start, six stages and Complete
+// allocate nothing (the attribution cells' sample slices grow by
+// doubling, which rounds to zero per trace).
+func TestHotPathAllocFreeDroppedTrace(t *testing.T) {
+	rec := NewRecorder(RecorderOptions{Seed: 1, WorstK: 2})
+	// Fill the worst-K set with slower traces so the pinned ones drop.
+	for seq := uint64(0); seq < 2; seq++ {
+		tc := rec.Start(seq, "echo", "horse", 0, 0)
+		tc.Record(StageInvoke, 0, simtime.Duration(1_000_000))
+		tc.Complete(Outcome{Served: "horse", Node: "node-0", Latency: 1_000_000})
+	}
+	seq := uint64(2)
+	trigger := func() {
+		tc := rec.Start(seq, "echo", "horse", 0, 1000)
+		seq++
+		benchStages(tc)
+	}
+	trigger()
+	if n := testing.AllocsPerRun(1000, trigger); n != 0 {
+		t.Errorf("Start+Complete of a dropped trace allocates %v per trigger, want 0", n)
+	}
+	if kept := rec.Flight().Kept(); kept != 2 {
+		t.Fatalf("flight recorder kept %d traces, want only the 2 seeded", kept)
 	}
 }

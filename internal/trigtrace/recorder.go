@@ -35,6 +35,12 @@ type RecorderOptions struct {
 // every accessor returns zeros. A non-nil Recorder is safe for
 // concurrent use — Start and finish take one mutex — so the nodes of a
 // future parallel cluster can share it.
+//
+// Traces are recycled: a finished trace the flight recorder dropped goes
+// back to a free list, and the next Start reuses it with its Stages
+// capacity, so a steady stream of in-SLO triggers allocates no traces.
+// A retained trace — must-keep or worst-K — is never reused, so what
+// Traces returns stays intact however many triggers follow.
 type Recorder struct {
 	seed     int64
 	disabled bool
@@ -50,6 +56,12 @@ type Recorder struct {
 	reconcile uint64              //horselint:coordinator
 
 	flight *flightrec.Buffer[*TriggerTrace] //horselint:coordinator
+
+	// free holds the traces the flight recorder dropped, for Start to
+	// reuse. Start and finish both run on the coordinator, so the list
+	// is coordinator-owned; mu guards it as well, for embedders outside
+	// the PDES loop.
+	free []*TriggerTrace //horselint:coordinator
 
 	// Prebound instrument handles (nil registry ⇒ nil handles, inert):
 	// finish runs once per trigger, so it must not pay the registry's
@@ -123,22 +135,32 @@ func (r *Recorder) Seed() int64 {
 	return r.seed
 }
 
-// Start mints the trace context for arrival seq. A nil or disabled
-// recorder returns an inert Context at zero cost.
+// Start mints the trace context for arrival seq, reusing a dropped
+// trace when one is free. A nil or disabled recorder returns an inert
+// Context at zero cost.
 //
 //horselint:coordinator
 func (r *Recorder) Start(seq uint64, function, requested string, arrival simtime.Time, budget simtime.Duration) Context {
 	if r == nil || r.disabled {
 		return Context{}
 	}
-	tr := &TriggerTrace{
+	var tr *TriggerTrace
+	r.mu.Lock()
+	if n := len(r.free); n > 0 {
+		tr, r.free = r.free[n-1], r.free[:n-1]
+	}
+	r.mu.Unlock()
+	if tr == nil {
+		tr = &TriggerTrace{Stages: make([]StageRecord, 0, 8)}
+	}
+	*tr = TriggerTrace{
 		ID:        NewTraceID(r.seed, seq),
 		Seq:       seq,
 		Function:  function,
 		Requested: requested,
 		Arrival:   arrival,
 		Budget:    budget,
-		Stages:    make([]StageRecord, 0, 8),
+		Stages:    tr.Stages[:0],
 	}
 	return Context{rec: r, tr: tr}
 }
@@ -190,6 +212,12 @@ func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
 		r.retainedViol.Inc()
 	case flightrec.ReasonWorstK:
 		r.retainedWorst.Inc()
+	case flightrec.ReasonDropped:
+		// Nothing holds the trace any more: the aggregates copied its
+		// durations and its Context is dead after Complete.
+		r.mu.Lock()
+		r.free = append(r.free, tr)
+		r.mu.Unlock()
 	}
 }
 

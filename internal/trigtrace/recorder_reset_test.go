@@ -1,6 +1,7 @@
 package trigtrace
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/horse-faas/horse/internal/simtime"
@@ -69,4 +70,52 @@ func TestRecorderResetClearsRunState(t *testing.T) {
 func TestRecorderResetNil(t *testing.T) {
 	var rec *Recorder
 	rec.Reset() // must not panic
+}
+
+// Recycling must never reach a retained trace: the must-keep ring and
+// the worst-K set hold their traces by pointer, so traces returned by
+// Traces keep their Seq and Stages however many dropped traces are
+// recycled after them.
+func TestRetainedTracesSurviveRecycling(t *testing.T) {
+	rec := NewRecorder(RecorderOptions{Seed: 5, Capacity: 4, WorstK: 2})
+	record := func(seq uint64, lat simtime.Duration) {
+		tc := rec.Start(seq, "echo", "horse", 0, 1000)
+		tc.RecordOn(StageQueueWait, 0, 1, "n0", "", "")
+		tc.RecordOn(StageInvoke, 1, lat-1, "n0", "horse", "")
+		tc.Complete(Outcome{Served: "horse", Node: "n0", Latency: lat})
+	}
+	record(0, 5000) // violator: must-keep (and worst-K)
+	record(1, 900)  // worst-K
+	record(2, 800)  // below the worst-K floor: dropped and recycled
+	before := rec.Traces()
+	if len(before) != 2 {
+		t.Fatalf("retained %d traces, want 2", len(before))
+	}
+	snapshot := make([]TriggerTrace, len(before))
+	for i, tr := range before {
+		snapshot[i] = *tr
+		snapshot[i].Stages = append([]StageRecord(nil), tr.Stages...)
+	}
+	for seq := uint64(3); seq < 1000; seq++ {
+		record(seq, 100+simtime.Duration(seq%7))
+	}
+	after := rec.Traces()
+	if len(after) != len(before) {
+		t.Fatalf("retained %d traces after recycling, want %d", len(after), len(before))
+	}
+	for i, tr := range before {
+		if after[i] != tr {
+			t.Fatalf("retained trace %d was replaced", i)
+		}
+		if tr.Seq != snapshot[i].Seq || tr.ID != snapshot[i].ID || tr.Latency != snapshot[i].Latency {
+			t.Fatalf("retained trace %d = seq %d id %v latency %v, want seq %d id %v latency %v",
+				i, tr.Seq, tr.ID, tr.Latency, snapshot[i].Seq, snapshot[i].ID, snapshot[i].Latency)
+		}
+		if !reflect.DeepEqual(tr.Stages, snapshot[i].Stages) {
+			t.Fatalf("retained trace %d stages = %+v, want %+v", tr.Seq, tr.Stages, snapshot[i].Stages)
+		}
+	}
+	if rec.Finished() != 1000 {
+		t.Fatalf("Finished = %d, want 1000", rec.Finished())
+	}
 }

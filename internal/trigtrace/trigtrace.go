@@ -232,8 +232,12 @@ func (t *TriggerTrace) OverheadTotal() simtime.Duration {
 // which is the tracing-disabled hot path.
 //
 // A Context is owned by the single goroutine serving its trigger;
-// cross-goroutine safety begins at Finish, where the trace is handed to
-// the (mutex-guarded) Recorder.
+// cross-goroutine safety begins at Complete, where the trace is handed
+// to the (mutex-guarded) Recorder.
+//
+// A Context is dead after Complete: the recorder may hand its trace to
+// the next Start, so no copy of the Context may be used again — not to
+// record, not to read the ID.
 type Context struct {
 	rec *Recorder
 	tr  *TriggerTrace
@@ -380,8 +384,10 @@ type Outcome struct {
 // Complete closes the trace and hands it to the recorder: the stage
 // durations fold into the attribution aggregates, the reconciliation
 // invariant (serving stages sum to latency) is checked, and the full
-// span tree is offered to the SLO flight recorder. (Named Complete, not
-// Finish, so trigger-path call sites stay outside the faulterr
+// span tree is offered to the SLO flight recorder. If the flight
+// recorder drops it, the trace is recycled for a later Start, which is
+// why the Context must not be used after this call. (Named Complete,
+// not Finish, so trigger-path call sites stay outside the faulterr
 // analyzer's monitored error-returning surface.)
 //
 //horselint:coordinator
