@@ -376,8 +376,8 @@ func (c *Cluster) RegisterEverywhere(fn workload.Function, spec faas.SandboxSpec
 	return nil
 }
 
-// DeploymentNames returns the registered function names in sorted order.
-func (c *Cluster) DeploymentNames() []string {
+// deploymentNames returns the registered function names in sorted order.
+func (c *Cluster) deploymentNames() []string {
 	names := make([]string, 0, len(c.deployments))
 	for name := range c.deployments {
 		names = append(names, name)
@@ -500,7 +500,7 @@ func (c *Cluster) poolTotal(name string, policy core.Policy) int {
 // across the healthy nodes — the periodic repair step that undoes the
 // skew left behind by drains, failures, and reaping.
 func (c *Cluster) Rebalance() error {
-	for _, name := range c.DeploymentNames() {
+	for _, name := range c.deploymentNames() {
 		for _, policy := range []core.Policy{core.Vanilla, core.Horse} {
 			total := c.poolTotal(name, policy)
 			if total == 0 {
@@ -530,7 +530,7 @@ func (c *Cluster) Drain(id string) error {
 	}
 	n.health = Draining
 	var firstErr error
-	for _, name := range c.DeploymentNames() {
+	for _, name := range c.deploymentNames() {
 		for _, policy := range []core.Policy{core.Vanilla, core.Horse} {
 			departing := n.poolCount(name, policy)
 			if departing == 0 {

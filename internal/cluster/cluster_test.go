@@ -10,6 +10,7 @@ import (
 	"github.com/horse-faas/horse/internal/faas"
 	"github.com/horse-faas/horse/internal/faultinject"
 	"github.com/horse-faas/horse/internal/loadgen"
+	"github.com/horse-faas/horse/internal/metrics"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/telemetry"
 	"github.com/horse-faas/horse/internal/testutil"
@@ -449,6 +450,31 @@ func TestRunReportIsByteIdenticalAcrossRuns(t *testing.T) {
 	csv3, _ := render(43)
 	if csv1 == csv3 {
 		t.Fatal("different seeds produced identical CSV reports")
+	}
+}
+
+// The report ranks its percentiles as metrics.Series does (ceil nearest
+// rank): of 31 served latencies 1..31 ns, the p95 is the ⌈29.45⌉ = 30th
+// sample, where rounding the rank half up would pick the 29th.
+func TestReportPercentilesUseSeriesRank(t *testing.T) {
+	c := testCluster(t, PolicyRoundRobin, NodeSpec{})
+	b := newReportBuilder(c, simtime.Millisecond, nil)
+	want := metrics.NewSeries(31)
+	for i := 1; i <= 31; i++ {
+		b.record("fn", "horse", "node00", simtime.Duration(i), nil)
+		want.Record(simtime.Duration(i))
+	}
+	sum, err := want.Summarize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := b.build()
+	wantMode := ModeLatency{Mode: "horse", Count: 31, P50: sum.P50, P95: sum.P95, P99: sum.P99, Max: sum.Max}
+	if len(r.Modes) != 1 || r.Modes[0] != wantMode || r.Modes[0].P95 != 30 {
+		t.Fatalf("modes = %+v, want [%+v] with p95 30 ns", r.Modes, wantMode)
+	}
+	if n := r.NodeSummaries[0]; n.P50 != sum.P50 || n.P99 != sum.P99 {
+		t.Fatalf("node p50/p99 = %v/%v, want %v/%v", n.P50, n.P99, sum.P50, sum.P99)
 	}
 }
 

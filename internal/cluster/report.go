@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 
+	"github.com/horse-faas/horse/internal/metrics"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/trigtrace"
 )
@@ -261,8 +262,8 @@ type reportBuilder struct {
 	rejected uint64
 	failed   uint64
 
-	byMode     map[string][]simtime.Duration
-	byNode     map[string][]simtime.Duration
+	byMode     map[string]*metrics.Series
+	byNode     map[string]*metrics.Series
 	byFn       map[string]*fnOutcome
 	rejReasons map[string]uint64
 
@@ -270,7 +271,7 @@ type reportBuilder struct {
 	// a tenant contract); byTenantMode keys one tenant's one-mode latency
 	// samples.
 	byTenant     []tenantOutcome
-	byTenantMode map[tenantModeKey][]simtime.Duration
+	byTenantMode map[tenantModeKey]*metrics.Series
 }
 
 type fnOutcome struct {
@@ -299,14 +300,14 @@ func newReportBuilder(c *Cluster, horizon simtime.Duration, budgets map[string]s
 		cluster:    c,
 		horizon:    horizon,
 		budgets:    budgets,
-		byMode:     make(map[string][]simtime.Duration),
-		byNode:     make(map[string][]simtime.Duration),
+		byMode:     make(map[string]*metrics.Series),
+		byNode:     make(map[string]*metrics.Series),
 		byFn:       make(map[string]*fnOutcome),
 		rejReasons: make(map[string]uint64),
 	}
 	if c.tenants != nil {
 		b.byTenant = make([]tenantOutcome, c.tenants.Len())
-		b.byTenantMode = make(map[tenantModeKey][]simtime.Duration)
+		b.byTenantMode = make(map[tenantModeKey]*metrics.Series)
 	}
 	return b
 }
@@ -367,8 +368,8 @@ func (b *reportBuilder) record(fn, servedMode, node string, latency simtime.Dura
 	if missed {
 		out.missed++
 	}
-	b.byMode[servedMode] = append(b.byMode[servedMode], latency)
-	b.byNode[node] = append(b.byNode[node], latency)
+	recordIn(b.byMode, servedMode, latency)
+	recordIn(b.byNode, node, latency)
 	if to != nil {
 		to.served++
 		if missed {
@@ -378,8 +379,20 @@ func (b *reportBuilder) record(fn, servedMode, node string, latency simtime.Dura
 			}
 		}
 		key := tenantModeKey{tenant: entry.tenant, mode: servedMode}
-		b.byTenantMode[key] = append(b.byTenantMode[key], latency)
+		recordIn(b.byTenantMode, key, latency)
 	}
+}
+
+// recordIn records latency in m's series under key, creating it on
+// first use. A series therefore never exists empty, so build ignores
+// Summarize's ErrNoSamples.
+func recordIn[K comparable](m map[K]*metrics.Series, key K, latency simtime.Duration) {
+	s := m[key]
+	if s == nil {
+		s = metrics.NewSeries(0)
+		m[key] = s
+	}
+	s.Record(latency)
 }
 
 // isRejection distinguishes rejections — no eligible node, or refused
@@ -427,15 +440,14 @@ func (b *reportBuilder) build() Report {
 	}
 	sort.Strings(modes)
 	for _, mode := range modes {
-		samples := b.byMode[mode]
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+		sum, _ := b.byMode[mode].Summarize()
 		r.Modes = append(r.Modes, ModeLatency{
 			Mode:  mode,
-			Count: uint64(len(samples)),
-			P50:   trigtrace.Quantile(samples, 0.50),
-			P95:   trigtrace.Quantile(samples, 0.95),
-			P99:   trigtrace.Quantile(samples, 0.99),
-			Max:   samples[len(samples)-1],
+			Count: uint64(sum.Count),
+			P50:   sum.P50,
+			P95:   sum.P95,
+			P99:   sum.P99,
+			Max:   sum.Max,
 		})
 	}
 	now := c.clock.Now()
@@ -447,10 +459,10 @@ func (b *reportBuilder) build() Report {
 			Served:     n.served,
 			Lag:        n.Lag(now),
 		}
-		if samples := b.byNode[n.id]; len(samples) > 0 {
-			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-			summary.P50 = trigtrace.Quantile(samples, 0.50)
-			summary.P99 = trigtrace.Quantile(samples, 0.99)
+		if samples := b.byNode[n.id]; samples != nil {
+			sum, _ := samples.Summarize()
+			summary.P50 = sum.P50
+			summary.P99 = sum.P99
 		}
 		r.NodeSummaries = append(r.NodeSummaries, summary)
 	}
@@ -510,16 +522,15 @@ func (b *reportBuilder) build() Report {
 			return keys[i].mode < keys[j].mode
 		})
 		for _, key := range keys {
-			samples := b.byTenantMode[key]
-			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+			sum, _ := b.byTenantMode[key].Summarize()
 			r.TenantModes = append(r.TenantModes, TenantModeLatency{
 				Tenant: c.tenants.Spec(key.tenant).Name,
 				Mode:   key.mode,
-				Count:  uint64(len(samples)),
-				P50:    trigtrace.Quantile(samples, 0.50),
-				P95:    trigtrace.Quantile(samples, 0.95),
-				P99:    trigtrace.Quantile(samples, 0.99),
-				Max:    samples[len(samples)-1],
+				Count:  uint64(sum.Count),
+				P50:    sum.P50,
+				P95:    sum.P95,
+				P99:    sum.P99,
+				Max:    sum.Max,
 			})
 		}
 	}

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -636,15 +635,4 @@ func (g *Generator) Collect(horizon simtime.Duration) ([]Arrival, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Rates summarizes the configured workloads as "fn: spec" lines in
-// function order, for logs.
-func Rates(workloads []Workload) string {
-	lines := make([]string, 0, len(workloads))
-	for _, w := range workloads {
-		lines = append(lines, w.String())
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "; ")
 }

@@ -3,9 +3,9 @@ package simtime
 import "testing"
 
 // Allocation pin for the stopwatch a hypervisor reuses for every pause
-// and every resume: Reset keeps the step array, and Steps carves its
-// copy from a slab, so a frame's Reset+Charge+Steps allocates once per
-// slab, not once per report — zero on average.
+// and every resume: Reset keeps the step array, and View lends it
+// without copying, so a warm frame's Reset+Charge+View allocates
+// nothing.
 func TestHotPathAllocFree(t *testing.T) {
 	c := NewClock()
 	sw := NewStopwatch(c)
@@ -14,19 +14,18 @@ func TestHotPathAllocFree(t *testing.T) {
 		sw.Charge("parse", 1)
 		sw.Charge("merge", 2)
 		sw.Charge("parse", 3)
-		if steps := sw.Steps(); len(steps) != 2 {
-			t.Fatalf("got %d steps, want 2", len(steps))
+		if steps := sw.View(); len(steps) != 2 || cap(steps) != 2 {
+			t.Fatalf("got %d steps (cap %d), want 2", len(steps), cap(steps))
 		}
 	}
 	frame()
 	if n := testing.AllocsPerRun(1000, frame); n != 0 {
-		t.Errorf("Reset+Charge+Steps allocates %v per frame, want 0", n)
+		t.Errorf("Reset+Charge+View allocates %v per frame, want 0", n)
 	}
 }
 
-// Copies carved from one slab are private: a later Steps never
-// overwrites an earlier copy, and appending to a copy cannot spill into
-// the next one.
+// Steps copies are private: a later Steps never overwrites an earlier
+// copy, and appending to a copy cannot spill into the next one.
 func TestStopwatchStepsCopiesDoNotShareMemory(t *testing.T) {
 	c := NewClock()
 	sw := NewStopwatch(c)
@@ -46,9 +45,9 @@ func TestStopwatchStepsCopiesDoNotShareMemory(t *testing.T) {
 	if second[0] != (StopwatchResult{Label: "b", Cost: 2}) {
 		t.Fatalf("second copy = %+v, want b/2", second[0])
 	}
-	// Drain more than a slab's worth: earlier copies keep their values.
+	// Many frames later, earlier copies keep their values.
 	var copies [][]StopwatchResult
-	for i := 0; i < 3*maxSlab; i++ {
+	for i := 0; i < 768; i++ {
 		sw.Reset(c)
 		sw.Charge("step", Duration(i))
 		copies = append(copies, sw.Steps())

@@ -117,20 +117,7 @@ type StopwatchResult struct {
 type Stopwatch struct {
 	clock *Clock
 	steps []StopwatchResult
-	// slab is the unused tail of the block Steps carves its copies
-	// from, and slabLen the length of the last block made. Blocks
-	// double from minSlab to maxSlab, so a stopwatch used a few times
-	// stays small while one reused for every pause or resume pays one
-	// allocation per maxSlab recorded results, not one per report.
-	slab    []StopwatchResult
-	slabLen int
 }
-
-// The bounds of a Steps slab's length.
-const (
-	minSlab = 8
-	maxSlab = 256
-)
 
 // NewStopwatch returns a stopwatch bound to clock.
 func NewStopwatch(clock *Clock) *Stopwatch {
@@ -159,20 +146,19 @@ func (s *Stopwatch) Reset(clock *Clock) {
 	s.steps = s.steps[:0]
 }
 
-// Steps returns a copy of the recorded steps in first-seen order. The
-// copy is the caller's: it is carved from a slab no other copy overlaps,
-// and its capacity is capped at its length, so neither writing to it
-// nor appending to it can reach another report's steps.
+// Steps returns a copy of the recorded steps in first-seen order.
 func (s *Stopwatch) Steps() []StopwatchResult {
-	n := len(s.steps)
-	if len(s.slab) < n {
-		s.slabLen = min(max(2*s.slabLen, minSlab), maxSlab)
-		s.slab = make([]StopwatchResult, max(s.slabLen, n))
-	}
-	out := s.slab[:n:n]
-	s.slab = s.slab[n:]
+	out := make([]StopwatchResult, len(s.steps))
 	copy(out, s.steps)
 	return out
+}
+
+// View returns the recorded steps in first-seen order without copying
+// them. The slice is the stopwatch's own and is valid only until the
+// next Reset. Its capacity is capped at its length, so appending to it
+// copies rather than writing into the stopwatch's array.
+func (s *Stopwatch) View() []StopwatchResult {
+	return s.steps[:len(s.steps):len(s.steps)]
 }
 
 // Total returns the sum of all recorded step costs.

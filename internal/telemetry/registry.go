@@ -90,13 +90,17 @@ func (g *Gauge) Value() int64 {
 }
 
 // Histogram is a duration histogram instrument: a cumulative fixed-width
-// metrics.Histogram plus a per-scrape window series whose exact summary
-// is drained on every Snapshot. A nil Histogram is inert.
+// metrics.Histogram plus the count, sum and max of the observations
+// since the previous Snapshot, which every Snapshot resets. A nil
+// Histogram is inert.
 type Histogram struct {
-	mu     sync.Mutex
-	hist   *metrics.Histogram
-	window *metrics.Series
-	sum    simtime.Duration
+	mu   sync.Mutex
+	hist *metrics.Histogram
+	sum  simtime.Duration
+
+	windowCount int
+	windowSum   simtime.Duration
+	windowMax   simtime.Duration
 }
 
 // Observe records one duration.
@@ -107,14 +111,18 @@ func (h *Histogram) Observe(d simtime.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.hist.Observe(d)
-	h.window.Record(d)
 	h.sum += d
+	if h.windowCount == 0 || d > h.windowMax {
+		h.windowMax = d
+	}
+	h.windowCount++
+	h.windowSum += d
 }
 
 // HistogramSnapshot is the exported state of one histogram instrument.
 // Quantiles are bucket-boundary upper bounds over the cumulative
-// histogram; the Window fields summarize only the observations since the
-// previous snapshot (exactly, via the drained window series).
+// histogram; the Window fields summarize exactly the observations since
+// the previous snapshot.
 type HistogramSnapshot struct {
 	Count         uint64   `json:"count"`
 	SumNanos      int64    `json:"sum_ns"`
@@ -129,7 +137,7 @@ type HistogramSnapshot struct {
 	WindowMaxNs   int64    `json:"window_max_ns"`
 }
 
-// snapshot drains the window series and exports the cumulative state.
+// snapshot exports the cumulative state and resets the window.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -160,14 +168,12 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	if q, err := cp.Quantile(0.99); err == nil {
 		out.P99Nanos = q.Nanoseconds()
 	}
-	out.WindowCount = h.window.Len()
-	if mean, err := h.window.Mean(); err == nil {
-		out.WindowMeanNs = mean.Nanoseconds()
+	out.WindowCount = h.windowCount
+	if h.windowCount > 0 {
+		out.WindowMeanNs = int64(h.windowSum) / int64(h.windowCount)
+		out.WindowMaxNs = h.windowMax.Nanoseconds()
 	}
-	if max, err := h.window.Max(); err == nil {
-		out.WindowMaxNs = max.Nanoseconds()
-	}
-	h.window.Reset()
+	h.windowCount, h.windowSum, h.windowMax = 0, 0, 0
 	return out
 }
 
@@ -309,7 +315,7 @@ func (r *Registry) HistogramShaped(family string, width simtime.Duration, bucket
 		// never panics the simulation.
 		mh, _ = metrics.NewHistogram(DefaultHistogramWidth, DefaultHistogramBuckets)
 	}
-	h = &Histogram{hist: mh, window: metrics.NewSeries(0)}
+	h = &Histogram{hist: mh}
 	r.hists[name] = h
 	return h
 }

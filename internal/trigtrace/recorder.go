@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/horse-faas/horse/internal/flightrec"
+	"github.com/horse-faas/horse/internal/metrics"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/telemetry"
 )
@@ -50,10 +51,10 @@ type Recorder struct {
 	// folds into them strictly between serve barriers, so shard-phase
 	// code must never reach them (reconcile counts traces whose serving
 	// stages did not sum to latency).
-	agg       map[aggKey]*aggCell //horselint:coordinator
-	finished  uint64              //horselint:coordinator
-	violated  uint64              //horselint:coordinator
-	reconcile uint64              //horselint:coordinator
+	agg       map[aggKey]*metrics.Series //horselint:coordinator
+	finished  uint64                     //horselint:coordinator
+	violated  uint64                     //horselint:coordinator
+	reconcile uint64                     //horselint:coordinator
 
 	flight *flightrec.Buffer[*TriggerTrace] //horselint:coordinator
 
@@ -79,19 +80,12 @@ type aggKey struct {
 	stage Stage
 }
 
-// aggCell accumulates one cell's samples.
-type aggCell struct {
-	count   uint64
-	total   simtime.Duration
-	samples []simtime.Duration
-}
-
 // NewRecorder builds a recorder.
 func NewRecorder(opts RecorderOptions) *Recorder {
 	r := &Recorder{
 		seed:     opts.Seed,
 		disabled: opts.Disabled,
-		agg:      make(map[aggKey]*aggCell),
+		agg:      make(map[aggKey]*metrics.Series),
 		flight: flightrec.New(opts.Capacity, opts.WorstK, func(t *TriggerTrace) simtime.Duration {
 			return t.EndToEnd
 		}),
@@ -119,7 +113,7 @@ func (r *Recorder) Reset() {
 		return
 	}
 	r.mu.Lock()
-	r.agg = make(map[aggKey]*aggCell)
+	r.agg = make(map[aggKey]*metrics.Series)
 	r.finished = 0
 	r.violated = 0
 	r.reconcile = 0
@@ -194,12 +188,10 @@ func (r *Recorder) finish(tr *TriggerTrace, out Outcome) {
 		key := aggKey{mode: mode, stage: s.Stage}
 		cell := r.agg[key]
 		if cell == nil {
-			cell = &aggCell{}
+			cell = metrics.NewSeries(0)
 			r.agg[key] = cell
 		}
-		cell.count++
-		cell.total += s.Dur
-		cell.samples = append(cell.samples, s.Dur)
+		cell.Record(s.Dur)
 	}
 	r.mu.Unlock()
 
@@ -329,38 +321,19 @@ func (r *Recorder) Attribution() []StageLatency {
 	out := make([]StageLatency, 0, len(keys))
 	for _, key := range keys {
 		cell := r.agg[key]
-		samples := append([]simtime.Duration(nil), cell.samples...)
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		row := StageLatency{
+		// finish creates a cell with its first sample, so a cell is
+		// never empty and Summarize cannot fail.
+		sum, _ := cell.Summarize()
+		out = append(out, StageLatency{
 			Mode:  key.mode,
 			Stage: key.stage,
 			Class: StageClass(key.stage),
-			Count: cell.count,
-			Total: cell.total,
-		}
-		if len(samples) > 0 {
-			row.P50 = Quantile(samples, 0.50)
-			row.P99 = Quantile(samples, 0.99)
-			row.Max = samples[len(samples)-1]
-		}
-		out = append(out, row)
+			Count: uint64(sum.Count),
+			Total: cell.Sum(),
+			P50:   sum.P50,
+			P99:   sum.P99,
+			Max:   sum.Max,
+		})
 	}
 	return out
-}
-
-// Quantile returns the q-quantile of sorted, which must be ascending
-// and non-empty. The rank is n·q rounded half up, so the index is
-// int(n·q+0.5)-1, clamped into the slice. This is not the ceil
-// nearest-rank of metrics.Series.Percentile: at n=10, q=0.91 it picks
-// the 9th sample where ceil picks the 10th. The trace attribution
-// table and the cluster report both use it, so their quantiles agree.
-func Quantile(sorted []simtime.Duration, q float64) simtime.Duration {
-	idx := int(float64(len(sorted))*q+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/horse-faas/horse/internal/metrics"
 	"github.com/horse-faas/horse/internal/simtime"
 	"github.com/horse-faas/horse/internal/telemetry"
 )
@@ -24,28 +25,6 @@ func TestTraceIDDeterministicAndDistinct(t *testing.T) {
 	}
 	if s := a.String(); len(s) != 16 {
 		t.Fatalf("ID string %q not fixed-width hex", s)
-	}
-}
-
-// TestQuantileRoundsRankHalfUp pins Quantile's rank convention: n·q
-// rounded half up, clamped into the slice — not the ceil nearest-rank
-// of metrics.Series.Percentile, which would pick the 10th sample at
-// n=10, q=0.91.
-func TestQuantileRoundsRankHalfUp(t *testing.T) {
-	sorted := make([]simtime.Duration, 10)
-	for i := range sorted {
-		sorted[i] = simtime.Duration(i + 1)
-	}
-	for _, tc := range []struct {
-		q    float64
-		want simtime.Duration
-	}{{0, 1}, {0.04, 1}, {0.05, 1}, {0.5, 5}, {0.91, 9}, {0.95, 10}, {0.99, 10}, {1, 10}} {
-		if got := Quantile(sorted, tc.q); got != tc.want {
-			t.Errorf("Quantile(1..10, %v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-	if got := Quantile(sorted[:1], 0.99); got != 1 {
-		t.Errorf("Quantile of one sample = %v, want 1", got)
 	}
 }
 
@@ -204,6 +183,34 @@ func TestRecorderFinishAggregates(t *testing.T) {
 	worst := reg.Counter("trigtrace_retained_total", "reason", "worst-k").Value()
 	if viol != 2 || worst != 1 {
 		t.Fatalf("retained = %d violations + %d worst-k, want 2 + 1", viol, worst)
+	}
+}
+
+// Attribution ranks its percentiles as metrics.Series does (ceil
+// nearest rank): of 51 invoke stages 1..51 ns, the p99 is the
+// ⌈50.49⌉ = 51st sample, where rounding the rank half up would pick the
+// 50th.
+func TestAttributionPercentilesUseSeriesRank(t *testing.T) {
+	rec := NewRecorder(RecorderOptions{})
+	want := metrics.NewSeries(51)
+	for i := 1; i <= 51; i++ {
+		d := simtime.Duration(i)
+		tc := rec.Start(uint64(i), "fn", "horse", 0, simtime.Second)
+		tc.RecordOn(StageInvoke, 0, d, "n0", "horse", "")
+		tc.Complete(Outcome{Served: "horse", Node: "n0", Latency: d})
+		want.Record(d)
+	}
+	sum, err := want.Summarize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := rec.Attribution()
+	wantRow := StageLatency{
+		Mode: "horse", Stage: StageInvoke, Class: ClassServing, Count: 51,
+		Total: want.Sum(), P50: sum.P50, P99: sum.P99, Max: sum.Max,
+	}
+	if len(rows) != 1 || rows[0] != wantRow || rows[0].P99 != 51 {
+		t.Fatalf("attribution = %+v, want [%+v] with p99 51 ns", rows, wantRow)
 	}
 }
 

@@ -269,7 +269,7 @@ func (h *Hypervisor) DestroySandbox(sb *Sandbox) error {
 // placeAll puts every vCPU on the least-loaded general queue.
 func (h *Hypervisor) placeAll(sb *Sandbox) error {
 	for _, v := range sb.vcpus {
-		q := h.LeastLoadedQueue()
+		q := h.leastLoadedQueue()
 		e, _, err := q.Insert(v)
 		if err != nil {
 			return err
@@ -280,9 +280,9 @@ func (h *Hypervisor) placeAll(sb *Sandbox) error {
 	return nil
 }
 
-// LeastLoadedQueue returns the general queue with the fewest entities
+// leastLoadedQueue returns the general queue with the fewest entities
 // (ties broken by lowest id), the placement policy of the vanilla path.
-func (h *Hypervisor) LeastLoadedQueue() *runqueue.Queue {
+func (h *Hypervisor) leastLoadedQueue() *runqueue.Queue {
 	best := h.general[0]
 	for _, q := range h.general[1:] {
 		if q.Len() < best.Len() {
@@ -311,7 +311,10 @@ type PauseReport struct {
 	Policy  string
 	VCPUs   int
 	Total   simtime.Duration
-	Steps   []simtime.StopwatchResult
+	// Steps is lent from the hypervisor's pause stopwatch: it is valid
+	// only until that hypervisor's next pause or resume frame. Copy it
+	// to keep it longer.
+	Steps []simtime.StopwatchResult
 }
 
 // ResumeReport describes one completed resume, including the per-step
@@ -321,7 +324,10 @@ type ResumeReport struct {
 	Policy  string
 	VCPUs   int
 	Total   simtime.Duration
-	Steps   []simtime.StopwatchResult
+	// Steps is lent from the hypervisor's resume stopwatch: it is valid
+	// only until that hypervisor's next pause or resume frame. Copy it
+	// to keep it longer.
+	Steps []simtime.StopwatchResult
 }
 
 // TwoOpsShare returns the fraction of the resume spent in the sorted
@@ -441,7 +447,7 @@ func (c *PauseContext) Finish() (PauseReport, error) {
 		Policy:  c.policy,
 		VCPUs:   c.sb.NumVCPUs(),
 		Total:   c.sw.Total(),
-		Steps:   c.sw.Steps(),
+		Steps:   c.sw.View(),
 	}, nil
 }
 
@@ -568,7 +574,7 @@ func (c *ResumeContext) Finish() (ResumeReport, error) {
 		Policy:  c.policy,
 		VCPUs:   c.sb.NumVCPUs(),
 		Total:   c.sw.Total(),
-		Steps:   c.sw.Steps(),
+		Steps:   c.sw.View(),
 	}, nil
 }
 
@@ -596,7 +602,7 @@ func (h *Hypervisor) Resume(sb *Sandbox) (ResumeReport, error) {
 		return ResumeReport{}, err
 	}
 	for i, v := range sb.vcpus {
-		q := h.LeastLoadedQueue()
+		q := h.leastLoadedQueue()
 		mergeCost := h.costs.MergeWarm
 		if i == 0 {
 			mergeCost = h.costs.MergeCold
